@@ -165,6 +165,7 @@ fuzz_smoke() {
 	go test -run='^$' -fuzz=FuzzDecoder -fuzztime="$fuzztime" ./internal/xdr
 	go test -run='^$' -fuzz=FuzzDecoder -fuzztime="$fuzztime" ./internal/cdr
 	go test -run='^$' -fuzz=FuzzReadRecord -fuzztime="$fuzztime" ./internal/sunrpc
+	go test -run='^$' -fuzz=FuzzRecordAssembler -fuzztime="$fuzztime" ./internal/sunrpc
 	go test -run='^$' -fuzz=FuzzDecodeMessage -fuzztime="$fuzztime" ./internal/runtime
 	go test -run='^$' -fuzz=FuzzServeMessage -fuzztime="$fuzztime" ./internal/runtime
 	go test -run='^$' -fuzz=FuzzBatchCodec -fuzztime="$fuzztime" ./internal/runtime

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"flexrpc/internal/analyze"
+	"flexrpc/internal/clock"
 	"flexrpc/internal/core"
 	"flexrpc/internal/pres"
 	"flexrpc/internal/runtime"
@@ -281,16 +282,16 @@ type (
 	TraceEvent = stats.TraceEvent
 	// Clock abstracts time for the session layer's backoff and
 	// deadlines; WallClock is the default, FakeClock drives tests.
-	Clock = runtime.Clock
+	Clock = clock.Clock
 	// FakeClock is a deterministic Clock for testing retry schedules.
-	FakeClock = runtime.FakeClock
+	FakeClock = clock.FakeClock
 )
 
 // WallClock is the real-time Clock the session layer uses by default.
-var WallClock = runtime.WallClock
+var WallClock = clock.WallClock
 
 // NewFakeClock returns a deterministic Clock for tests.
-func NewFakeClock() *FakeClock { return runtime.NewFakeClock() }
+func NewFakeClock() *FakeClock { return clock.NewFakeClock() }
 
 // NewStats builds a standalone stats endpoint over the given
 // operation names, for callers wiring several components to one

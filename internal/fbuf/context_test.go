@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"flexrpc/internal/runtime"
+	"flexrpc/internal/clock"
 )
 
 // TestAllocBlockingContextExpired: a context already expired is
@@ -35,7 +35,7 @@ func TestAllocBlockingContextDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := runtime.NewFakeClock()
+	clk := clock.NewFakeClock()
 	ctx, cancel := clk.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 

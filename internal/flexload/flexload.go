@@ -1,6 +1,6 @@
 // Package flexload is the load-generator harness for the connection-
 // scale experiments: open- and closed-loop traffic from thousands of
-// simulated clients, paced by a runtime.Clock so the same engine runs
+// simulated clients, paced by a clock.Clock so the same engine runs
 // in real time against a live server or fully deterministically under
 // a FakeClock. Latency percentiles come from the existing stats
 // histograms (one sharded Endpoint pool merged via Snapshot.Merge),
@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"flexrpc/internal/clock"
 	"flexrpc/internal/pres"
 	"flexrpc/internal/runtime"
 	"flexrpc/internal/stats"
@@ -79,9 +80,9 @@ type Options struct {
 	// Warmup/Measure/Cooldown are the protocol phases; only Measure
 	// is required.
 	Warmup, Measure, Cooldown time.Duration
-	// Clock paces the run; nil means runtime.WallClock. Deterministic
-	// runs require a *runtime.FakeClock.
-	Clock runtime.Clock
+	// Clock paces the run; nil means clock.WallClock. Deterministic
+	// runs require a *clock.FakeClock.
+	Clock clock.Clock
 	// Seed derives every client's arrival/jitter rng; identical seeds
 	// (plus a FakeClock) reproduce a run byte-for-byte.
 	Seed int64
@@ -105,7 +106,7 @@ type Options struct {
 	// 0 means 1024.
 	MaxQueue int
 	// Deterministic runs every client on one goroutine in virtual
-	// time: Clock must be a *runtime.FakeClock (auto-advance is
+	// time: Clock must be a *clock.FakeClock (auto-advance is
 	// enabled so retry backoffs advance it), and two runs with the
 	// same seed produce identical reports.
 	Deterministic bool
@@ -209,8 +210,8 @@ type client struct {
 type run struct {
 	t     *Target
 	o     *Options
-	clock runtime.Clock
-	fake  *runtime.FakeClock // non-nil in deterministic mode
+	clock clock.Clock
+	fake  *clock.FakeClock // non-nil in deterministic mode
 
 	opIdx  int
 	opName string
@@ -247,12 +248,12 @@ func Run(t Target, o Options) (*Report, error) {
 	r := &run{t: &t, o: &o}
 	r.clock = o.Clock
 	if o.Deterministic {
-		fc, ok := r.clock.(*runtime.FakeClock)
+		fc, ok := r.clock.(*clock.FakeClock)
 		if r.clock == nil {
-			fc, ok = runtime.NewFakeClock(), true
+			fc, ok = clock.NewFakeClock(), true
 		}
 		if !ok {
-			return nil, errors.New("flexload: deterministic mode requires a *runtime.FakeClock")
+			return nil, errors.New("flexload: deterministic mode requires a *clock.FakeClock")
 		}
 		if o.Mode == Closed && o.Think <= 0 {
 			return nil, errors.New("flexload: deterministic closed loop requires think time")
@@ -264,7 +265,7 @@ func Run(t Target, o Options) (*Report, error) {
 		r.fake = fc
 		r.clock = fc
 	} else if r.clock == nil {
-		r.clock = runtime.WallClock
+		r.clock = clock.WallClock
 	}
 
 	ops := make([]string, len(t.Pres.Interface.Ops))

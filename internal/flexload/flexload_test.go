@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"flexrpc/internal/clock"
 	"flexrpc/internal/core"
 	"flexrpc/internal/pres"
 	"flexrpc/internal/runtime"
@@ -37,12 +38,12 @@ func loadPres(t testing.TB) *pres.Presentation {
 type virtualWorld struct {
 	p     *pres.Presentation
 	sess  *runtime.SessionServer
-	fc    *runtime.FakeClock
+	fc    *clock.FakeClock
 	srv   *stats.Endpoint
 	every int
 }
 
-func newVirtualWorld(t testing.TB, fc *runtime.FakeClock, serviceSeed int64, shedEvery int, svcBase, svcJitter time.Duration) *virtualWorld {
+func newVirtualWorld(t testing.TB, fc *clock.FakeClock, serviceSeed int64, shedEvery int, svcBase, svcJitter time.Duration) *virtualWorld {
 	t.Helper()
 	p := loadPres(t)
 	disp := runtime.NewDispatcher(p)
@@ -105,7 +106,7 @@ func detRobust() *runtime.RobustOptions {
 // all — even with retry backoff and shed pushbacks in play.
 func TestDeterministicClosedLoopByteIdentical(t *testing.T) {
 	runOnce := func() *Report {
-		fc := runtime.NewFakeClock()
+		fc := clock.NewFakeClock()
 		// Fast virtual service (20–60µs): the serialized service
 		// advances must leave room for every client to make dozens of
 		// calls inside the window, so the every-5th shed injector
@@ -168,7 +169,7 @@ func TestDeterministicOpenLoopOverload(t *testing.T) {
 		maxQueue = 16
 	)
 	runOnce := func() *Report {
-		fc := runtime.NewFakeClock()
+		fc := clock.NewFakeClock()
 		// ~1ms service → capacity ~1000/s, a 4× overload at rate 4000/s.
 		w := newVirtualWorld(t, fc, 7, 0, 500*time.Microsecond, time.Millisecond)
 		rep, err := Run(Target{
@@ -227,7 +228,7 @@ func TestDeterministicOpenLoopOverload(t *testing.T) {
 // to end: real goroutines, real sleeps, a real (loopback) session
 // server — goodput must be nonzero and error-free.
 func TestWallClockSmoke(t *testing.T) {
-	fc := runtime.NewFakeClock() // only for the virtual service rng gate; not used
+	fc := clock.NewFakeClock() // only for the virtual service rng gate; not used
 	_ = fc
 	p := loadPres(t)
 	disp := runtime.NewDispatcher(p)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"flexrpc/internal/clock"
 	"flexrpc/internal/runtime"
 )
 
@@ -13,7 +14,7 @@ import (
 // virtual world (separate processes share nothing client-side).
 func wireWorker(t *testing.T, clients, base int) *WireReport {
 	t.Helper()
-	fc := runtime.NewFakeClock()
+	fc := clock.NewFakeClock()
 	w := newVirtualWorld(t, fc, 99, 5, 20*time.Microsecond, 40*time.Microsecond)
 	rep, err := Run(Target{
 		Dial: func(id int) (runtime.Conn, error) { return &sessConn{w: w}, nil },

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"flexrpc/internal/clock"
 	"flexrpc/internal/stats"
 )
 
@@ -57,7 +58,7 @@ type AdmissionOptions struct {
 	ShedInterval time.Duration
 
 	// Clock gates shedder recomputation; nil means WallClock.
-	Clock Clock
+	Clock clock.Clock
 	// Stats supplies the latency histograms the shedder reads and
 	// receives the shed/drain counters; nil disables the shedder's
 	// input (it then never raises a level) and records nothing.
@@ -95,7 +96,7 @@ type Admission struct {
 	overFrame  []byte
 	drainFrame []byte
 
-	clock Clock
+	clock clock.Clock
 	stats *stats.Endpoint
 
 	// Shedder state. level moves by one per recompute, up when the
@@ -125,7 +126,7 @@ func NewAdmission(o AdmissionOptions) *Admission {
 		o.ShedInterval = DefaultShedInterval
 	}
 	if o.Clock == nil {
-		o.Clock = WallClock
+		o.Clock = clock.WallClock
 	}
 	a := &Admission{
 		maxInflight: int64(o.MaxInflight),

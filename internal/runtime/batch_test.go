@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"flexrpc/internal/clock"
 	"flexrpc/internal/idl/corba"
 	"flexrpc/internal/pdl"
 	"flexrpc/internal/pres"
@@ -60,7 +61,7 @@ type batchStack struct {
 	stats *stats.Endpoint
 }
 
-func newBatchStack(t testing.TB, clock Clock, opts BatchOptions) *batchStack {
+func newBatchStack(t testing.TB, ck clock.Clock, opts BatchOptions) *batchStack {
 	t.Helper()
 	p := batchPres(t)
 	var execs atomic.Int64
@@ -78,7 +79,7 @@ func newBatchStack(t testing.TB, clock Clock, opts BatchOptions) *batchStack {
 	}
 	sess := NewSessionServer(disp, plan, NewReplyCacheSharded(64, 4))
 	wire := &batchLoopback{sess: sess}
-	conn := NewRobustConn(wire, p, RobustOptions{ClientID: 5, AtMostOnce: true, Clock: clock})
+	conn := NewRobustConn(wire, p, RobustOptions{ClientID: 5, AtMostOnce: true, Clock: ck})
 	e := stats.New([]string{"echo", "lone"})
 	conn.SetStats(e)
 	conn.EnableBatching(opts)
@@ -127,7 +128,7 @@ func decodeDoubled(plan *Plan, opIdx int, body []byte) (int32, error) {
 // fire), four concurrent calls must ride ONE wire frame, execute once
 // each, and all return correct results.
 func TestBatchSizeFlushMergesCalls(t *testing.T) {
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	st := newBatchStack(t, fc, BatchOptions{MaxCalls: 4, MaxDelay: time.Hour})
 
 	var wg sync.WaitGroup
@@ -166,7 +167,7 @@ func TestBatchSizeFlushMergesCalls(t *testing.T) {
 // without trusting wall time.
 func TestBatcherLoneCallBound(t *testing.T) {
 	const bound = 5 * time.Millisecond
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	st := newBatchStack(t, fc, BatchOptions{MaxCalls: 64, MaxDelay: bound})
 
 	done := make(chan error, 1)
@@ -210,7 +211,7 @@ var errBadReply = errors.New("wrong reply value")
 // non-[batchable] operations and calls carrying a cancelable context
 // go straight to the per-call session path.
 func TestBatchBypasses(t *testing.T) {
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	fc.AutoAdvance(true)
 	st := newBatchStack(t, fc, BatchOptions{MaxCalls: 4, MaxDelay: time.Millisecond})
 
@@ -235,7 +236,7 @@ func TestBatchBypasses(t *testing.T) {
 // cross-wired: every call sees its own doubled argument and the
 // handler runs exactly once per call.
 func TestBatchConcurrentStress(t *testing.T) {
-	st := newBatchStack(t, WallClock, BatchOptions{MaxCalls: 8, MaxDelay: 100 * time.Microsecond})
+	st := newBatchStack(t, clock.WallClock, BatchOptions{MaxCalls: 8, MaxDelay: 100 * time.Microsecond})
 
 	const goroutines, per = 8, 25
 	var wg sync.WaitGroup

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"flexrpc/internal/clock"
 )
 
 // Client-side overload protection. Two small mechanisms keep a
@@ -131,7 +133,7 @@ const (
 type Breaker struct {
 	threshold int
 	cooldown  time.Duration
-	clock     Clock
+	clock     clock.Clock
 
 	mu        sync.Mutex
 	state     breakerState
@@ -146,18 +148,18 @@ type Breaker struct {
 // faults, repeated SystemErr — not application errors, which prove
 // the server is answering) and stays open for cooldown, or for the
 // server's advisory RetryAfter when that is longer. threshold <= 0
-// means 5; cooldown <= 0 means 100ms; clock nil means WallClock.
-func NewBreaker(threshold int, cooldown time.Duration, clock Clock) *Breaker {
+// means 5; cooldown <= 0 means 100ms; ck nil means clock.WallClock.
+func NewBreaker(threshold int, cooldown time.Duration, ck clock.Clock) *Breaker {
 	if threshold <= 0 {
 		threshold = 5
 	}
 	if cooldown <= 0 {
 		cooldown = 100 * time.Millisecond
 	}
-	if clock == nil {
-		clock = WallClock
+	if ck == nil {
+		ck = clock.WallClock
 	}
-	return &Breaker{threshold: threshold, cooldown: cooldown, clock: clock}
+	return &Breaker{threshold: threshold, cooldown: cooldown, clock: ck}
 }
 
 // Allow reports whether a call may proceed. An open breaker admits

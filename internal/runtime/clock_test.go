@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"flexrpc/internal/clock"
 	"flexrpc/internal/idl/corba"
 	"flexrpc/internal/pdl"
 	"flexrpc/internal/pres"
@@ -13,7 +14,7 @@ import (
 )
 
 func TestFakeClockSleepAutoAdvance(t *testing.T) {
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	fc.AutoAdvance(true)
 	start := fc.Now()
 	if err := fc.Sleep(context.Background(), 5*time.Second); err != nil {
@@ -32,7 +33,7 @@ func TestFakeClockSleepAutoAdvance(t *testing.T) {
 }
 
 func TestFakeClockAdvanceWakesSleepers(t *testing.T) {
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	woke := make(chan error, 1)
 	go func() { woke <- fc.Sleep(context.Background(), 10*time.Second) }()
 	// Wait for the sleeper to register, then advance past its wake time.
@@ -52,7 +53,7 @@ func TestFakeClockAdvanceWakesSleepers(t *testing.T) {
 }
 
 func TestFakeClockWithTimeout(t *testing.T) {
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	ctx, cancel := fc.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := ctx.Err(); err != nil {
@@ -131,7 +132,7 @@ func (c *failNConn) Close() error { return nil }
 // without sleeping a nanosecond of wall time.
 func TestRobustBackoffScheduleFakeClock(t *testing.T) {
 	p := clockPres(t)
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	fc.AutoAdvance(true)
 	conn := &failNConn{
 		n:  5,
@@ -186,7 +187,7 @@ func TestRobustBackoffScheduleFakeClock(t *testing.T) {
 // stuckConn never answers; it expires the pending attempt deadline
 // itself, standing in for a server that went silent.
 type stuckConn struct {
-	fc      *FakeClock
+	fc      *clock.FakeClock
 	timeout time.Duration
 	release chan struct{}
 }
@@ -204,7 +205,7 @@ func (c *stuckConn) Close() error { return nil }
 // retryable, again with zero wall-clock sleeping.
 func TestRobustAttemptTimeoutFakeClock(t *testing.T) {
 	p := clockPres(t)
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	fc.AutoAdvance(true)
 	conn := &stuckConn{fc: fc, timeout: 30 * time.Millisecond, release: make(chan struct{})}
 	t.Cleanup(func() { close(conn.release) })
@@ -236,7 +237,7 @@ func TestRobustAttemptTimeoutFakeClock(t *testing.T) {
 // mid-backoff the loop stops early instead of using up MaxAttempts.
 func TestRobustOverallDeadlineFakeClock(t *testing.T) {
 	p := clockPres(t)
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	fc.AutoAdvance(true)
 	conn := &failNConn{
 		n:  1000, // never succeeds

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"flexrpc/internal/clock"
 	"flexrpc/internal/stats"
 )
 
@@ -120,7 +121,7 @@ func TestAdmissionDrain(t *testing.T) {
 // in the hysteresis band, stepping down on recovery, and decaying
 // when shedding is so total that no traffic completes at all.
 func TestAdmissionShedderHysteresis(t *testing.T) {
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	e := stats.New([]string{"op"})
 	a := NewAdmission(AdmissionOptions{
 		ShedP99:      10 * time.Millisecond,
@@ -242,7 +243,7 @@ func TestRetryBudgetSpendAndRefill(t *testing.T) {
 }
 
 func TestBreakerTripHalfOpenRecover(t *testing.T) {
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	b := NewBreaker(3, 100*time.Millisecond, fc)
 	if b.OnFailure(0) || b.OnFailure(0) {
 		t.Fatal("breaker opened below its threshold")
@@ -291,7 +292,7 @@ func TestBreakerTripHalfOpenRecover(t *testing.T) {
 }
 
 func TestBreakerFailedProbeReopens(t *testing.T) {
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	b := NewBreaker(1, 10*time.Millisecond, fc)
 	if !b.OnFailure(0) {
 		t.Fatal("threshold-1 breaker did not open on first failure")
@@ -309,7 +310,7 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 }
 
 func TestBreakerRetryAfterSeedsCooldown(t *testing.T) {
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	b := NewBreaker(1, 10*time.Millisecond, fc)
 	// The server's advisory horizon outranks the client default.
 	b.OnFailure(500 * time.Millisecond)
@@ -359,7 +360,7 @@ func (c *pushbackNConn) Close() error { return nil }
 func TestPushbackRetriesNonIdempotent(t *testing.T) {
 	const ra = 3 * time.Millisecond
 	p := allocPres(t) // nop is not [idempotent]
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	fc.AutoAdvance(true)
 	conn := &pushbackNConn{n: 2, ra: ra}
 	r := NewRobustConn(conn, p, RobustOptions{
@@ -394,7 +395,7 @@ func TestPushbackRetriesNonIdempotent(t *testing.T) {
 // value ("no advice"): the loop falls back to its jittered schedule.
 func TestPushbackWithoutAdviceUsesBackoff(t *testing.T) {
 	p := allocPres(t)
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	fc.AutoAdvance(true)
 	conn := &pushbackNConn{n: 1, ra: 0}
 	r := NewRobustConn(conn, p, RobustOptions{
@@ -417,7 +418,7 @@ func TestPushbackWithoutAdviceUsesBackoff(t *testing.T) {
 // safe), and the final error carries the draining taxonomy.
 func TestDrainingPushbackTaxonomy(t *testing.T) {
 	p := allocPres(t)
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	fc.AutoAdvance(true)
 	conn := &pushbackNConn{n: 1000, ra: 2 * time.Millisecond, draining: true}
 	r := NewRobustConn(conn, p, RobustOptions{
@@ -443,7 +444,7 @@ func TestDrainingPushbackTaxonomy(t *testing.T) {
 // touching the transport, and the cooled-down probe closes it again.
 func TestBreakerFastFailsCalls(t *testing.T) {
 	p := allocPres(t)
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	fc.AutoAdvance(true)
 	conn := &pushbackNConn{n: 2, ra: time.Millisecond}
 	br := NewBreaker(2, 100*time.Millisecond, fc)
@@ -492,7 +493,7 @@ func TestBreakerFastFailsCalls(t *testing.T) {
 // fails fast with the last error instead of spending MaxAttempts.
 func TestBudgetSuppressesRetryStorm(t *testing.T) {
 	p := clockPres(t) // echo is [idempotent]: freely retryable
-	fc := NewFakeClock()
+	fc := clock.NewFakeClock()
 	fc.AutoAdvance(true)
 	conn := &failNConn{n: 1000}
 	bud := NewRetryBudget(1, 0.001)

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"flexrpc/internal/clock"
 	"flexrpc/internal/pres"
 	"flexrpc/internal/stats"
 )
@@ -135,7 +136,7 @@ type RobustOptions struct {
 	Policy     RetryPolicy
 	// Clock drives backoff sleeps and per-attempt timeouts; nil means
 	// WallClock. Tests substitute a FakeClock.
-	Clock Clock
+	Clock clock.Clock
 	// Budget throttles retries (shareable across conns to one
 	// backend); nil means retries are limited only by the policy.
 	Budget *RetryBudget
@@ -165,7 +166,7 @@ type RobustConn struct {
 	rmu sync.Mutex // guards rng
 	rng *rand.Rand
 
-	clock Clock
+	clock clock.Clock
 	stats *stats.Endpoint
 
 	frames sync.Pool // *[]byte request frame buffers
@@ -192,9 +193,9 @@ func NewRobustConn(inner Conn, p *pres.Presentation, opts RobustOptions) *Robust
 	if seed == 0 {
 		seed = 1
 	}
-	clock := opts.Clock
-	if clock == nil {
-		clock = WallClock
+	ck := opts.Clock
+	if ck == nil {
+		ck = clock.WallClock
 	}
 	return &RobustConn{
 		inner:     inner,
@@ -206,7 +207,7 @@ func NewRobustConn(inner Conn, p *pres.Presentation, opts RobustOptions) *Robust
 		budget:    opts.Budget,
 		breaker:   opts.Breaker,
 		rng:       rand.New(rand.NewSource(seed)),
-		clock:     clock,
+		clock:     ck,
 	}
 }
 

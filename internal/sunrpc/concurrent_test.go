@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"flexrpc/internal/netpoll"
 	"flexrpc/internal/stats"
 	"flexrpc/internal/xdr"
 )
@@ -20,7 +21,7 @@ const (
 // TestConcurrentDispatchOverlaps proves SetConcurrency actually
 // executes requests from one connection in parallel: a fast call
 // issued after a deliberately blocked call completes while the slow
-// one is still held, which the serial loop cannot do.
+// one is still held, which inline dispatch cannot do.
 func TestConcurrentDispatchOverlaps(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 1)
@@ -32,6 +33,7 @@ func TestConcurrentDispatchOverlaps(t *testing.T) {
 		return nil
 	})
 	s.SetConcurrency(4)
+	drainAtCleanup(t, s)
 
 	cc, sc := net.Pipe()
 	go func() { _ = s.ServeConn(sc) }()
@@ -79,6 +81,7 @@ func TestConcurrentPanicRecovery(t *testing.T) {
 		})
 		e := stats.New(nil)
 		s.SetStats(e)
+		drainAtCleanup(t, s)
 		s.SetConcurrency(conc)
 
 		cc, sc := net.Pipe()
@@ -120,6 +123,7 @@ func TestConcurrentReplyCoalescing(t *testing.T) {
 	e := stats.New(nil)
 	s.SetStats(e)
 	s.SetConcurrency(4)
+	drainAtCleanup(t, s)
 
 	cc, sc := net.Pipe()
 	served := make(chan struct{})
@@ -188,28 +192,50 @@ func (r *rawNullCaller) call(t testing.TB) {
 	r.rec = rec[:cap(rec)]
 }
 
-// TestConcurrentServerZeroAllocNullRPC is the scaling gate: with
-// stats off, the worker-pool server path — reader, queue, worker
-// dispatch, coalescing writer — settles to zero allocations per null
-// RPC.
-func TestConcurrentServerZeroAllocNullRPC(t *testing.T) {
+// TestServerZeroAllocNullRPC is the 0-alloc gate over every way the
+// server runs a connection: with stats off, the read driver,
+// dispatch (inline or through the shared pool) and the combining
+// flusher settle to zero allocations per null RPC.
+func TestServerZeroAllocNullRPC(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
 	}
-	s := newTestServer()
-	s.Register(0, func(args *xdr.Decoder, reply *xdr.Encoder) error { return nil })
-	s.SetConcurrency(4)
-	cc, sc := net.Pipe()
-	go func() { _ = s.ServeConn(sc) }()
-	t.Cleanup(func() { cc.Close(); sc.Close() })
-
-	caller := &rawNullCaller{conn: cc}
-	for i := 0; i < 100; i++ {
-		caller.call(t) // warm every pool on the server side
+	rows := []struct {
+		name        string
+		concurrency int
+		netpoll     bool
+	}{
+		{"serial", 1, false},
+		{"shared", 4, false},
+		{"netpoll", 4, true},
 	}
-	allocs := testing.AllocsPerRun(200, func() { caller.call(t) })
-	if allocs != 0 {
-		t.Fatalf("concurrent server path allocates %.1f times per null RPC, want 0", allocs)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if row.netpoll && !netpoll.Supported() {
+				t.Skip("netpoll unsupported on this platform")
+			}
+			s := newTestServer()
+			s.SetConcurrency(row.concurrency)
+			s.SetNetpoll(row.netpoll)
+			drainAtCleanup(t, s)
+			var cc, sc net.Conn
+			if row.netpoll {
+				cc, sc = socketpairConns(t)
+			} else {
+				cc, sc = net.Pipe()
+			}
+			go func() { _ = s.ServeConn(sc) }()
+			t.Cleanup(func() { cc.Close() })
+
+			caller := &rawNullCaller{conn: cc}
+			for i := 0; i < 100; i++ {
+				caller.call(t) // warm every pool and grow steady-state buffers
+			}
+			allocs := testing.AllocsPerRun(200, func() { caller.call(t) })
+			if allocs != 0 {
+				t.Fatalf("%s server path allocates %.2f times per null RPC, want 0", row.name, allocs)
+			}
+		})
 	}
 }
 
@@ -223,6 +249,7 @@ func TestConcurrentTailRepliesAfterHalfClose(t *testing.T) {
 	const calls = 64
 	s := newTestServer()
 	s.SetConcurrency(4)
+	drainAtCleanup(t, s)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -280,6 +307,7 @@ func TestConcurrentSlowReaderBoundedBuffering(t *testing.T) {
 	e := stats.New(nil)
 	s.SetStats(e)
 	s.SetConcurrency(4)
+	drainAtCleanup(t, s)
 
 	cc, sc := net.Pipe()
 	served := make(chan struct{})
@@ -348,6 +376,7 @@ func TestConcurrentServeConnShutdown(t *testing.T) {
 	s := newTestServer()
 	s.Register(0, func(args *xdr.Decoder, reply *xdr.Encoder) error { return nil })
 	s.SetConcurrency(4)
+	drainAtCleanup(t, s)
 	cc, sc := net.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- s.ServeConn(sc) }()

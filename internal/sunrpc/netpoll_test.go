@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"flexrpc/internal/clock"
 	"flexrpc/internal/netpoll"
-	rt "flexrpc/internal/runtime"
 	"flexrpc/internal/stats"
 	"flexrpc/internal/xdr"
 )
@@ -109,12 +109,13 @@ func TestNetpollBasicRPC(t *testing.T) {
 }
 
 // TestNetpollFallbackPipe: a conn without a descriptor (net.Pipe) on a
-// netpoll server transparently uses the goroutine reader — identical
+// netpoll server transparently uses the blocking reader — identical
 // semantics, portable everywhere.
 func TestNetpollFallbackPipe(t *testing.T) {
 	s := newTestServer()
 	s.SetNetpoll(true)
 	s.SetConcurrency(2)
+	drainAtCleanup(t, s)
 	cc, sc := net.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- s.ServeConn(sc) }()
@@ -287,6 +288,7 @@ func TestNetpollSlowReaderBoundedBuffering(t *testing.T) {
 	s.SetStats(e)
 	s.SetNetpoll(true)
 	s.SetConcurrency(4)
+	drainAtCleanup(t, s)
 
 	cc, sc := socketpairConns(t)
 	// Small kernel buffers so the flusher blocks early and the
@@ -350,40 +352,6 @@ func TestNetpollSlowReaderBoundedBuffering(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("ServeConn did not return after the client closed")
-	}
-}
-
-// TestNetpollServerZeroAllocNullRPC is the netpoll-mode scaling gate:
-// the poller read path — readiness callback, incremental reassembly,
-// pool dispatch, combining flusher — settles to zero allocations per
-// null RPC, matching the goroutine path's gate.
-func TestNetpollServerZeroAllocNullRPC(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation gates are not meaningful under the race detector")
-	}
-	if !netpoll.Supported() {
-		t.Skip("netpoll unsupported on this platform")
-	}
-	s := newTestServer()
-	s.Register(0, func(args *xdr.Decoder, reply *xdr.Encoder) error { return nil })
-	s.SetNetpoll(true)
-	s.SetConcurrency(4)
-	cc, sc := socketpairConns(t)
-	go func() { _ = s.ServeConn(sc) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-		cc.Close()
-	})
-
-	caller := &rawNullCaller{conn: cc}
-	for i := 0; i < 100; i++ {
-		caller.call(t) // warm the pools and grow steady-state buffers
-	}
-	allocs := testing.AllocsPerRun(200, func() { caller.call(t) })
-	if allocs != 0 {
-		t.Fatalf("netpoll server path allocates %.1f times per null RPC, want 0", allocs)
 	}
 }
 
@@ -545,7 +513,7 @@ func TestNetpollDrainNoLeaks(t *testing.T) {
 // burst-sized admits for free, then one sleep of 1/rate per accept.
 func TestAcceptRateLimitFakeClock(t *testing.T) {
 	const conns = 6
-	ck := rt.NewFakeClock()
+	ck := clock.NewFakeClock()
 	ck.AutoAdvance(true)
 	s := newTestServer()
 	s.SetClock(ck)

@@ -2,12 +2,14 @@ package sunrpc
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"flexrpc/internal/xdr"
 )
@@ -50,6 +52,18 @@ func newTestServer() *Server {
 		return errors.New("internal failure")
 	})
 	return s
+}
+
+// drainAtCleanup drains s when the test ends, so the connections,
+// workers and pollers it still holds go away with the test.
+func drainAtCleanup(t testing.TB, s *Server) {
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Errorf("Drain: %v", err)
+		}
+	})
 }
 
 // pair starts the test server over an in-memory connection and

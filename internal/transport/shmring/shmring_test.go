@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"flexrpc/internal/clock"
 	"flexrpc/internal/idl/corba"
 	"flexrpc/internal/pres"
 	"flexrpc/internal/runtime"
@@ -221,7 +222,7 @@ func TestDrainUnparksBlockedCaller(t *testing.T) {
 	conn, srv := New(disp, plan)
 	// No serve loop: the reply doorbell never rings, so the caller
 	// parks exactly as it would behind a stalled server.
-	fc := runtime.NewFakeClock()
+	fc := clock.NewFakeClock()
 	robust := runtime.NewRobustConn(conn, p, runtime.RobustOptions{
 		ClientID: 1, AtMostOnce: true,
 		Policy: runtime.RetryPolicy{MaxAttempts: 1, AttemptTimeout: time.Hour},
