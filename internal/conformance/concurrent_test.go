@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,6 +31,7 @@ func TestMatrixConcurrentClients(t *testing.T) {
 		runtime.NewReplyCacheSharded(runtime.DefaultReplyCacheSize, goroutines))
 	srv := suntcp.NewSessionServer(sess, w.p.Interface)
 	srv.SetConcurrency(goroutines)
+	t.Cleanup(func() { _ = srv.Drain(context.Background()) }) // stops the shared worker pool
 
 	cc, sc := netsim.BufferedPipe(netsim.LinkParams{}, 64)
 	go func() { _ = srv.ServeConn(sc) }()

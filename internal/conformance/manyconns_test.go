@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"os"
 	"sync"
@@ -66,6 +67,8 @@ func TestMatrixManyConns(t *testing.T) {
 		if useNetpoll {
 			srv.SetNetpoll(true)
 		}
+		// Drain stops the shared worker pool and the pollers.
+		t.Cleanup(func() { _ = srv.Drain(context.Background()) })
 
 		var exchanges atomic.Int64
 		var wg sync.WaitGroup

@@ -54,10 +54,15 @@ type Path struct {
 	free     []*Buffer
 	byID     map[uint32]*Buffer
 	nextID   uint32
+	// materialized counts buffers whose storage exists: storage is
+	// allocated on a buffer's first Alloc, so a pool that is never
+	// drawn from costs no buffer memory.
+	materialized int
 }
 
 // NewPath creates a data path through the given domains, backed by a
-// pool of count buffers of bufSize bytes each.
+// pool of count buffers of bufSize bytes each. A buffer's storage is
+// allocated when it is first handed out and kept across Free.
 func NewPath(bufSize, count int, domains ...*Domain) *Path {
 	p := &Path{
 		domains: append([]*Domain(nil), domains...),
@@ -67,11 +72,7 @@ func NewPath(bufSize, count int, domains ...*Domain) *Path {
 	p.freeCond.L = &p.mu
 	for i := 0; i < count; i++ {
 		p.nextID++
-		b := &Buffer{
-			id:      p.nextID,
-			path:    p,
-			storage: make([]byte, bufSize),
-		}
+		b := &Buffer{id: p.nextID, path: p}
 		p.free = append(p.free, b)
 		p.byID[b.id] = b
 	}
@@ -86,6 +87,14 @@ func (p *Path) FreeCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.free)
+}
+
+// Materialized returns the number of buffers whose storage has been
+// allocated, i.e. that have been handed out at least once.
+func (p *Path) Materialized() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.materialized
 }
 
 // onPath reports whether d participates in the path.
@@ -169,6 +178,10 @@ func (p *Path) takeLocked(origin *Domain) *Buffer {
 	// ErrNotOwner) — the access check must never be a data race.
 	// Safe order: no path holds b.mu while acquiring p.mu.
 	b.mu.Lock()
+	if b.storage == nil {
+		b.storage = make([]byte, p.bufSize)
+		p.materialized++
+	}
 	b.owner = origin
 	b.origin = origin
 	b.length = 0

@@ -3,6 +3,7 @@ package fbuf
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -257,5 +258,69 @@ func TestQuickPoolConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStorageAllocatedOnFirstAlloc: a path's buffers cost no storage
+// until they are handed out, so a large pool that is never drawn
+// from stays cheap to set up.
+func TestStorageAllocatedOnFirstAlloc(t *testing.T) {
+	const bufSize, count = 1 << 20, 64
+	d := NewDomain("d")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := NewPath(bufSize, count, d)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= bufSize {
+		t.Fatalf("NewPath allocated %d bytes; buffer storage must wait for Alloc", grew)
+	}
+	if n := p.Materialized(); n != 0 {
+		t.Fatalf("%d buffers materialized before any Alloc", n)
+	}
+	if p.FreeCount() != count {
+		t.Fatalf("free = %d, want %d", p.FreeCount(), count)
+	}
+	b, err := p.Alloc(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena, err := b.Arena(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arena) != bufSize {
+		t.Fatalf("arena holds %d bytes, want %d", len(arena), bufSize)
+	}
+	if n := p.Materialized(); n != 1 {
+		t.Fatalf("%d buffers materialized after one Alloc, want 1", n)
+	}
+}
+
+// TestFreeKeepsStorage: a freed buffer keeps its storage, and the
+// next Alloc of it hands the same memory out again.
+func TestFreeKeepsStorage(t *testing.T) {
+	d := NewDomain("d")
+	p := NewPath(64, 1, d)
+	b, _ := p.Alloc(d)
+	first, err := b.Arena(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Free(d); err != nil {
+		t.Fatal(err)
+	}
+	b2, err := p.Alloc(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := b2.Arena(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first[0] != &again[0] {
+		t.Fatal("re-Alloc after Free allocated fresh storage")
+	}
+	if n := p.Materialized(); n != 1 {
+		t.Fatalf("%d buffers materialized, want 1", n)
 	}
 }

@@ -172,3 +172,20 @@ func TestServerBorrowPutBoundedAllocsStatsOn(t *testing.T) {
 		t.Fatal("stats-on gate recorded no calls")
 	}
 }
+
+// ArenaLen's overflow branch is ordinary control flow (inline shmring
+// dispatch and the generic ring server keep the heap bytes of an
+// encode that outgrew its slot), so detecting it costs nothing: the
+// bare sentinel, no formatted error.
+func TestArenaLenOverflowZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are not meaningful under the race detector")
+	}
+	arena := make([]byte, 8)
+	heap := make([]byte, 16)
+	gateAllocs(t, "ArenaLen overflow", 0, func() {
+		if _, err := ArenaLen(arena, heap); err != ErrArenaOverflow {
+			t.Fatalf("ArenaLen = %v, want ErrArenaOverflow", err)
+		}
+	})
+}

@@ -54,13 +54,15 @@ func (p *Plan) ReleaseArenaEncoder(ae ArenaEncoder) {
 // an encode that outgrew the arena reallocated away from dst's
 // backing array — detected by comparing first-byte addresses — and is
 // reported as ErrArenaOverflow rather than silently landing the
-// message in heap storage the peer cannot see.
+// message in heap storage the peer cannot see. Overflow is ordinary
+// control flow for callers that then use the heap bytes, so the
+// sentinel is returned bare: the check never allocates.
 func ArenaLen(dst, encoded []byte) (int, error) {
 	if len(encoded) == 0 {
 		return 0, nil
 	}
 	if len(dst) == 0 || &encoded[0] != &dst[0] {
-		return 0, fmt.Errorf("%w: need %d bytes, arena holds %d", ErrArenaOverflow, len(encoded), len(dst))
+		return 0, ErrArenaOverflow
 	}
 	return len(encoded), nil
 }

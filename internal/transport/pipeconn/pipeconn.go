@@ -93,8 +93,11 @@ func (c *Conn) Close() error {
 
 // Serve runs the request loop until the client closes its end or ctx
 // is done (checked between frames; a pipe read cannot be interrupted).
-// The returned error is nil on clean EOF.
+// The returned error is nil on clean EOF. However the loop ends, the
+// reply pipe's write side is closed, so a client still reading a
+// reply sees EOF instead of blocking forever.
 func (s *Server) Serve(ctx context.Context) error {
+	defer s.rep.CloseWrite()
 	enc := s.plan.Codec.NewEncoder()
 	var body []byte
 	for {
@@ -105,11 +108,9 @@ func (s *Server) Serve(ctx context.Context) error {
 		}
 		opIdx, req, err := readFrame(s.req, body)
 		if err == io.EOF {
-			s.rep.CloseWrite()
 			return nil
 		}
 		if err != nil {
-			s.rep.CloseWrite()
 			return fmt.Errorf("pipeconn: serve: %w", err)
 		}
 		body = req[:0]
@@ -127,6 +128,7 @@ func (s *Server) Serve(ctx context.Context) error {
 // dispatcher, so a RobustConn client gets retries, duplicate
 // suppression and reply replay over the pipe transport.
 func (s *Server) ServeSession(ctx context.Context, sess *runtime.SessionServer) error {
+	defer s.rep.CloseWrite()
 	var body []byte
 	for {
 		if ctx != nil {
@@ -136,11 +138,9 @@ func (s *Server) ServeSession(ctx context.Context, sess *runtime.SessionServer) 
 		}
 		opIdx, req, err := readFrame(s.req, body)
 		if err == io.EOF {
-			s.rep.CloseWrite()
 			return nil
 		}
 		if err != nil {
-			s.rep.CloseWrite()
 			return fmt.Errorf("pipeconn: serve: %w", err)
 		}
 		body = req[:0]

@@ -15,10 +15,15 @@ import (
 
 func allocGate(t *testing.T, m mode, bound float64, f func(b *Bound)) {
 	t.Helper()
+	b, _ := connectMode(t, m, Config{})
+	gateBound(t, m, b, bound, f)
+}
+
+func gateBound(t *testing.T, m mode, b *Bound, bound float64, f func(b *Bound)) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
 	}
-	b, _ := connectMode(t, m, Config{})
 	for i := 0; i < 100; i++ {
 		f(b) // warm the call, encoder and decoder pools
 	}
@@ -57,4 +62,75 @@ func TestTrustedPutSingleAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// The 4 KiB witnesses, on the default ring: a 4 KiB put encodes to
+// 4100 bytes and a 4 KiB get reply to 4104, both more than one 4096-B
+// slot holds once its 16-B header is in. The leased doorbell modes
+// carry them in place in their leased buffers all the same, so a put
+// keeps the 1 KiB put's single boxing allocation, a get pays only for
+// decoding its result, and the ring's own pool is never touched.
+
+func leasedDoorbellModes() []mode { return []mode{modes()[1], modes()[2]} }
+
+// assertPoolUntouched checks that no call spliced through the ring's
+// pool: every buffer is free and none ever got storage.
+func assertPoolUntouched(t *testing.T, b *Bound) {
+	t.Helper()
+	if free := b.ring.path.FreeCount(); free != DefaultSlots {
+		t.Fatalf("ring pool holds %d of %d buffers", free, DefaultSlots)
+	}
+	if n := b.ring.path.Materialized(); n != 0 {
+		t.Fatalf("ring pool materialized %d buffers; leased calls must not splice", n)
+	}
+}
+
+func TestLeased4KiBPutSingleAlloc(t *testing.T) {
+	args := []runtime.Value{bytes.Repeat([]byte{0x42}, 4096)}
+	for _, m := range leasedDoorbellModes() {
+		t.Run(m.name, func(t *testing.T) {
+			b, pr := connectMode(t, m, Config{})
+			put := func(b *Bound) {
+				if _, _, err := b.Invoke("put", args, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			put(b)
+			if pr.putLen != 4096 {
+				t.Fatalf("server saw %d bytes", pr.putLen)
+			}
+			assertPoolUntouched(t, b)
+			gateBound(t, m, b, 1, put)
+			assertPoolUntouched(t, b)
+		})
+	}
+}
+
+// A 4 KiB get allocates twice, both for the client's own decode of
+// the result: the 4096-byte slice the bytes are copied into (the
+// reply buffer is reused by the next call) and boxing it into the
+// result Value. The server side allocates nothing.
+func TestLeased4KiBGetOwnDecodeAllocs(t *testing.T) {
+	blob := bytes.Repeat([]byte{0x5A}, 4096)
+	for _, m := range leasedDoorbellModes() {
+		t.Run(m.name, func(t *testing.T) {
+			b, pr := connectMode(t, m, Config{})
+			pr.getReply = blob
+			get := func(b *Bound) {
+				if _, _, err := b.Invoke("get", nil, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, ret, err := b.Invoke("get", nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ret.([]byte), blob) {
+				t.Fatal("get returned the wrong bytes")
+			}
+			assertPoolUntouched(t, b)
+			gateBound(t, m, b, 2, get)
+			assertPoolUntouched(t, b)
+		})
+	}
 }

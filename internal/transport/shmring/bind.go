@@ -27,15 +27,11 @@ type Options struct {
 	ForceDoorbell bool
 }
 
-// statusErr mirrors the dispatcher's framed error status word.
-const statusErr = 1
-
 // A Bound is a bind-time specialized shmring connection implementing
 // runtime.Invoker/ContextInvoker: marshal plans for both presentations
 // are compiled at Connect, request bytes are produced directly into a
-// leased ring slot's arena, and the annotations decide — once, at
-// bind — how much of the untrusted-peer machinery the per-call path
-// keeps:
+// leased fbuf's arena, and the annotations decide — once, at bind —
+// how much of the untrusted-peer machinery the per-call path keeps:
 //
 //   - [trusted] on both sides (the paper's §4.5 trust ladder) elides
 //     header validation, the per-call fbuf ownership protocol, and —
@@ -43,10 +39,19 @@ const statusErr = 1
 //     inline on the caller's goroutine, LRPC-style thread migration
 //     for the same-domain case.
 //   - [nonunique] port naming (or an interface with no port
-//     parameters) elides the per-handoff name-table lookup: the
-//     doorbell word carries a ring position resolved by direct
-//     indexing instead of an fbuf id resolved through the path's
-//     id map.
+//     parameters) elides the per-handoff name-table lookup: both
+//     directions use one request and one reply buffer leased at bind,
+//     named by a constant doorbell reference instead of an fbuf id
+//     resolved through the path's id map.
+//
+// Either specialization makes the binding leased: each leased buffer
+// holds one message of the ring's per-message budget (the largest
+// body the ring's pool can splice, see Config.Slots), so every
+// message within the budget is produced and consumed in place and a
+// larger one fails with ErrTooLarge — except inline, where the
+// caller's goroutine can carry the heap bytes of an encode that
+// outgrew its arena. Unique-naming bindings publish every message as
+// a name-table frame spliced across the ring's pool.
 //
 // Operations whose compiled plans carry no marshal steps at all
 // dispatch directly — the combination signature compiled the
@@ -63,15 +68,20 @@ type Bound struct {
 	trusted   bool
 	nonUnique bool
 	inline    bool
+	leased    bool // trusted or nonUnique: calls use the leased buffers
 
-	// Leased slots: the bind-time lease replaces per-call pool
-	// traffic. Under trust the arenas are cached and the ownership
-	// protocol is skipped; untrusted bindings move ownership back and
-	// forth every call.
+	// Leased buffers, one per direction, from a two-buffer path
+	// private to the binding. Under trust the arenas are cached and
+	// the ownership protocol is skipped; untrusted bindings move
+	// ownership back and forth every call.
 	reqSlot, repSlot   *fbuf.Buffer
 	reqArena, repArena []byte
 
-	scratch []byte // server-side gather buffer for spilled requests
+	// Name-table frames (unique naming): the heap storage requests
+	// and replies are encoded in before they are spliced into the
+	// ring's pool, and the server-side gather buffer for multi-slot
+	// requests.
+	reqStage, repStage, scratch []byte
 
 	stats  *stats.Endpoint
 	closed atomic.Bool
@@ -96,6 +106,9 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 	cfg, err := opts.Config.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	if _, ok := codec.NewEncoder().(runtime.ArenaEncoder); !ok {
+		return nil, fmt.Errorf("shmring: codec %s cannot encode into ring slots", codec.Name())
 	}
 	cplan, err := runtime.NewPlan(clientPres, codec, opts.Hooks)
 	if err != nil {
@@ -123,6 +136,7 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 	b.trusted = clientPres.Trust >= pres.TrustFull && disp.Pres.Trust >= pres.TrustFull
 	b.nonUnique = !uniqueNamesNeeded(clientPres) && !uniqueNamesNeeded(disp.Pres)
 	b.inline = b.trusted && !opts.ForceDoorbell
+	b.leased = b.trusted || b.nonUnique
 	for i, op := range cplan.Ops {
 		b.binds = append(b.binds, boundOp{
 			idx:    i,
@@ -131,20 +145,25 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 		})
 		b.byName[op.Op.Name] = i
 	}
-	// Bind-time slot lease: one slot per direction for the steady
-	// state; splices for oversized messages come from the rest of the
-	// pool per call.
-	if b.reqSlot, err = b.ring.path.Alloc(b.ring.client); err != nil {
-		return nil, err
-	}
-	if b.repSlot, err = b.ring.path.Alloc(b.ring.server); err != nil {
-		return nil, err
-	}
-	if b.reqArena, err = b.reqSlot.Arena(b.ring.client); err != nil {
-		return nil, err
-	}
-	if b.repArena, err = b.repSlot.Arena(b.ring.server); err != nil {
-		return nil, err
+	if b.leased {
+		// Bind-time lease: one buffer per direction, each holding a
+		// frame header plus the ring's per-message budget. The ring's
+		// own pool is never drawn from, so its storage is never
+		// allocated.
+		r := b.ring
+		leases := fbuf.NewPath(headerSize+r.maxBody(), 2, r.client, r.server)
+		if b.reqSlot, err = leases.Alloc(r.client); err != nil {
+			return nil, err
+		}
+		if b.repSlot, err = leases.Alloc(r.server); err != nil {
+			return nil, err
+		}
+		if b.reqArena, err = b.reqSlot.Arena(r.client); err != nil {
+			return nil, err
+		}
+		if b.repArena, err = b.repSlot.Arena(r.server); err != nil {
+			return nil, err
+		}
 	}
 	if !b.inline {
 		go b.serveLoop()
@@ -291,55 +310,28 @@ func (b *Bound) invokeBound(ctx context.Context, idx int, args []runtime.Value, 
 }
 
 // invokeInline runs the call on the caller's goroutine: request bytes
-// are produced into the leased request slot's arena, the dispatcher
-// consumes them and produces the reply into the reply slot's arena,
+// are produced into the leased request buffer's arena, the dispatcher
+// consumes them and produces the reply into the reply buffer's arena,
 // and the client plan decodes it from there. No doorbell, no header:
 // under full mutual trust the op index rides in a register (the
-// argument) and validation is elided.
+// argument) and validation is elided. A message that outgrows its
+// arena lands in its encoder's heap storage; the bytes are valid
+// either way, so inline dispatch takes any size and encodes once.
 func (b *Bound) invokeInline(ctx context.Context, bop *boundOp, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
-	body := b.reqArena
-	n, err := bop.cop.EncodeRequestArena(b.reqArena, args)
-	switch {
-	case err == nil:
-		body = b.reqArena[:n]
-	case errors.Is(err, runtime.ErrArenaOverflow):
-		// Oversized request: stage in heap storage (rare path).
-		enc := b.cplan.Codec.NewEncoder()
-		if err := bop.cop.EncodeRequest(enc, args); err != nil {
-			return nil, nil, err
-		}
-		body = enc.Bytes()
-	default:
+	qenc, _ := b.cplan.AcquireArenaEncoder(b.reqArena)
+	defer b.cplan.ReleaseArenaEncoder(qenc)
+	if err := bop.cop.EncodeRequest(qenc, args); err != nil {
 		return nil, nil, err
 	}
-	renc, ok := b.splan.AcquireArenaEncoder(b.repArena)
-	if !ok {
-		renc = nil
-	}
-	var reply []byte
-	if renc != nil {
-		err = b.disp.ServeMessageRawContext(ctx, b.splan, bop.idx, body, renc)
-		reply = renc.Bytes()
-	} else {
-		henc := b.splan.Codec.NewEncoder()
-		err = b.disp.ServeMessageRawContext(ctx, b.splan, bop.idx, body, henc)
-		reply = henc.Bytes()
-	}
-	if err != nil {
-		if renc != nil {
-			b.splan.ReleaseArenaEncoder(renc)
-		}
+	renc, _ := b.splan.AcquireArenaEncoder(b.repArena)
+	defer b.splan.ReleaseArenaEncoder(renc)
+	if err := b.disp.ServeMessageRawContext(ctx, b.splan, bop.idx, qenc.Bytes(), renc); err != nil {
 		return nil, nil, err
 	}
-	// An oversized reply reallocated off the arena; the bytes are
-	// still valid either way, so no length check is needed inline.
-	dec := b.cplan.AcquireDecoder(reply)
-	outs, ret, derr := bop.cop.DecodeReply(dec, outBufs, retBuf)
+	dec := b.cplan.AcquireDecoder(renc.Bytes())
+	outs, ret, err := bop.cop.DecodeReply(dec, outBufs, retBuf)
 	b.cplan.ReleaseDecoder(dec)
-	if renc != nil {
-		b.splan.ReleaseArenaEncoder(renc)
-	}
-	return outs, ret, derr
+	return outs, ret, err
 }
 
 // invokeDoorbell publishes the request through the doorbell handoff
@@ -366,65 +358,58 @@ func (b *Bound) invokeDoorbell(ctx context.Context, bop *boundOp, args []runtime
 }
 
 // sendRequest produces the request frame under the binding's mode and
-// returns the doorbell reference (0 = the leased slot pair; nonzero =
-// a generic frame resolved through the path's name table).
+// returns the doorbell reference (0 = the leased buffer pair; nonzero =
+// the head slot id of a name-table frame).
 func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Value) (uint64, error) {
-	r := b.ring
-	if !b.trusted && !b.nonUnique {
+	if !b.leased {
 		// Unique naming: the peer insists on resolving buffers through
 		// the system-maintained name table, so every call leases fresh
 		// slots and publishes their ids — the cost [nonunique] elides.
 		return b.spillRequest(ctx, bop, args)
 	}
+	r := b.ring
+	arena := b.reqArena
 	if !b.trusted {
-		// [nonunique] naming with an untrusted peer: the slot pair is
-		// bound once (the doorbell ref is a constant ring position, no
-		// id lookup), but the full fbuf discipline remains — take the
-		// arena as owner, produce in place, declare the length, move
-		// ownership.
-		arena, err := b.reqSlot.Arena(r.client)
-		if err != nil {
+		// [nonunique] naming with an untrusted peer: the buffer pair is
+		// bound once (the doorbell ref is a constant, no id lookup), but
+		// the full fbuf discipline remains — take the arena as owner,
+		// produce in place, declare the length, move ownership.
+		var err error
+		if arena, err = b.reqSlot.Arena(r.client); err != nil {
 			return 0, err
 		}
-		n, err := bop.cop.EncodeRequestArena(arena[headerSize:], args)
-		if errors.Is(err, runtime.ErrArenaOverflow) {
-			return b.spillRequest(ctx, bop, args)
-		}
-		if err != nil {
-			return 0, err
-		}
-		putHeader(arena, uint32(bop.idx), uint32(n), 0)
-		if err := b.reqSlot.SetProduced(r.client, headerSize+n); err != nil {
-			return 0, err
-		}
-		if err := b.reqSlot.Transfer(r.client, r.server, false); err != nil {
-			return 0, err
-		}
-		return 0, nil
 	}
 	// Trusted: the cached arena is written directly; ownership ops and
 	// checksums are elided, only the header's op and length words are
 	// produced for the peer.
-	n, err := bop.cop.EncodeRequestArena(b.reqArena[headerSize:], args)
+	n, err := bop.cop.EncodeRequestArena(arena[headerSize:], args)
 	if errors.Is(err, runtime.ErrArenaOverflow) {
-		return b.spillRequest(ctx, bop, args)
+		return 0, fmt.Errorf("%w: request exceeds the %d-byte message budget", ErrTooLarge, r.maxBody())
 	}
 	if err != nil {
 		return 0, err
 	}
-	putHeader(b.reqArena, uint32(bop.idx), uint32(n), 0)
-	return 0, nil
+	putHeader(arena, uint32(bop.idx), uint32(n), 0)
+	if b.trusted {
+		return 0, nil
+	}
+	if err := b.reqSlot.SetProduced(r.client, headerSize+n); err != nil {
+		return 0, err
+	}
+	return 0, b.reqSlot.Transfer(r.client, r.server, false)
 }
 
-// spillRequest publishes the request as a generic name-table frame:
-// oversized messages splice across pool slots, and unique-naming
-// bindings route every request here so the peer can resolve the
-// buffers by id.
+// spillRequest publishes the request as a name-table frame spliced
+// across the ring's pool, so the peer can resolve the buffers by id.
+// The plan's pooled encoder produces it once, into the binding's heap
+// staging buffer.
 func (b *Bound) spillRequest(ctx context.Context, bop *boundOp, args []runtime.Value) (uint64, error) {
-	enc := b.cplan.Codec.NewEncoder()
+	enc, _ := b.cplan.AcquireArenaEncoder(b.reqStage)
+	defer b.cplan.ReleaseArenaEncoder(enc)
 	if err := bop.cop.EncodeRequest(enc, args); err != nil {
 		return 0, err
 	}
+	b.reqStage = keepStage(b.reqStage, enc.Bytes())
 	head, _, err := b.ring.writeMessage(ctx, b.ring.client, b.ring.server, uint32(bop.idx), enc.Bytes())
 	if err != nil {
 		return 0, err
@@ -432,46 +417,63 @@ func (b *Bound) spillRequest(ctx context.Context, bop *boundOp, args []runtime.V
 	return uint64(head.ID()), nil
 }
 
-// receiveReply reads the framed reply (status word first) and decodes
-// it with the client plan.
+// keepStage returns the larger of a staging buffer and the storage an
+// encode aimed at it grew into, so the next encode starts there.
+func keepStage(stage, encoded []byte) []byte {
+	if cap(encoded) > len(stage) {
+		return encoded[:cap(encoded)]
+	}
+	return stage
+}
+
+// receiveReply reads the framed reply (status word first), decodes
+// it with the client plan, and recycles the buffers it came in.
 func (b *Bound) receiveReply(bop *boundOp, ref uint64, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
 	r := b.ring
 	var reply []byte
 	var bufs []*fbuf.Buffer
-	if ref == 0 {
-		hb := b.repArena
-		if !b.trusted {
-			var err error
-			if hb, err = b.repSlot.Bytes(r.client); err != nil {
-				return nil, nil, err
-			}
-		}
-		_, n, _, err := parseHeader(hb, b.trusted)
-		if err != nil {
-			return nil, nil, err
-		}
-		if headerSize+int(n) > len(hb) {
-			return nil, nil, fmt.Errorf("%w: reply length %d", ErrBadHeader, n)
-		}
-		reply = hb[headerSize : headerSize+int(n)]
-	} else {
-		var err error
+	var err error
+	if ref != 0 {
 		_, reply, _, bufs, err = r.readMessage(r.client, ref, nil)
-		if err != nil {
-			r.freeAll(r.client, bufs)
-			return nil, nil, err
-		}
+	} else {
+		reply, err = b.leasedReply()
 	}
-	outs, ret, err := b.decodeFramedReply(bop, reply, outBufs, retBuf)
-	if bufs != nil {
+	var outs []runtime.Value
+	var ret runtime.Value
+	if err == nil {
+		outs, ret, err = b.decodeFramedReply(bop, reply, outBufs, retBuf)
+	}
+	if ref != 0 {
 		r.freeAll(r.client, bufs)
 	} else if !b.trusted {
-		// Recycle the leased reply slot back to the producer.
+		// Recycle the leased reply buffer back to the producer.
 		if terr := b.repSlot.Transfer(r.client, r.server, false); terr != nil && err == nil {
 			err = terr
 		}
 	}
 	return outs, ret, err
+}
+
+// leasedReply returns the reply body framed in the leased reply
+// buffer, validated unless the binding is trusted.
+func (b *Bound) leasedReply() ([]byte, error) {
+	hb := b.repArena
+	if !b.trusted {
+		var err error
+		if hb, err = b.repSlot.Bytes(b.ring.client); err != nil {
+			return nil, err
+		}
+	}
+	_, n, flags, err := parseHeader(hb, b.trusted)
+	switch {
+	case err != nil:
+		return nil, err
+	case flags&flagTooLarge != 0:
+		return nil, fmt.Errorf("%w: reply exceeds the %d-byte message budget", ErrTooLarge, b.ring.maxBody())
+	case headerSize+int(n) > len(hb):
+		return nil, fmt.Errorf("%w: reply length %d", ErrBadHeader, n)
+	}
+	return hb[headerSize : headerSize+int(n)], nil
 }
 
 func (b *Bound) decodeFramedReply(bop *boundOp, reply []byte, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
@@ -500,8 +502,8 @@ func (b *Bound) poison() {
 }
 
 // serveLoop is the doorbell-mode server: it consumes request frames,
-// dispatches them, and produces framed replies into the reply slot's
-// arena (spilling across pool slots when oversized).
+// dispatches them, and publishes framed replies the same way the
+// request came — in the leased reply buffer, or as a name-table frame.
 func (b *Bound) serveLoop() {
 	defer close(b.done)
 	r := b.ring
@@ -512,132 +514,96 @@ func (b *Bound) serveLoop() {
 			return
 		}
 		r.reqBell.reset()
-		if err := b.serveOne(ref); err != nil {
+		var err error
+		if ref == 0 {
+			err = b.serveLeased()
+		} else {
+			err = b.serveSpliced(ref)
+		}
+		if err != nil {
 			r.repBell.close()
 			return
 		}
 	}
 }
 
-func (b *Bound) serveOne(ref uint64) error {
+// serveLeased consumes the request in the leased request buffer and
+// produces the reply in place in the leased reply buffer.
+func (b *Bound) serveLeased() error {
 	r := b.ring
-	var body []byte
-	var op uint32
-	var bufs []*fbuf.Buffer
-	if ref == 0 {
-		hb := b.reqArena
-		if !b.trusted {
-			var err error
-			if hb, err = b.reqSlot.Bytes(r.server); err != nil {
-				return err
-			}
-		}
-		var n, flags uint32
+	hb := b.reqArena
+	if !b.trusted {
 		var err error
-		op, n, flags, err = parseHeader(hb, b.trusted)
-		if err != nil || flags&contMask != 0 || headerSize+int(n) > len(hb) {
-			if err == nil {
-				err = fmt.Errorf("%w: request frame", ErrBadHeader)
-			}
-			return err
-		}
-		body = hb[headerSize : headerSize+int(n)]
-	} else {
-		var aliased bool
-		var err error
-		op, body, aliased, bufs, err = r.readMessage(r.server, ref, b.scratch)
-		if err != nil {
-			r.freeAll(r.server, bufs)
-			return err
-		}
-		if !aliased && cap(body) > cap(b.scratch) {
-			b.scratch = body[:0]
-		}
-	}
-	// recycle returns the consumed request bytes to the client: free
-	// the spliced slots, or move the leased slot's ownership back. It
-	// MUST run before the reply bell rings — once the client wakes it
-	// may immediately produce the next request into the leased slot.
-	recycle := func() error {
-		if bufs != nil {
-			r.freeAll(r.server, bufs)
-			return nil
-		}
-		if !b.trusted {
-			return b.reqSlot.Transfer(r.server, r.client, false)
-		}
-		return nil
-	}
-	return b.replyOne(op, body, recycle)
-}
-
-// replyOne dispatches one request and publishes the framed reply.
-// recycle runs after the dispatch has consumed the request bytes and
-// before the reply doorbell rings.
-func (b *Bound) replyOne(op uint32, body []byte, recycle func() error) error {
-	r := b.ring
-	if !b.trusted && !b.nonUnique {
-		// Unique naming: the reply, too, travels as a name-table frame.
-		henc := b.splan.Codec.NewEncoder()
-		b.disp.ServeMessageContext(nil, b.splan, int(op), body, henc)
-		if err := recycle(); err != nil {
-			return err
-		}
-		return b.publishReply(op, henc.Bytes(), nil)
-	}
-	var arena []byte
-	if b.trusted {
-		arena = b.repArena
-	} else {
-		var err error
-		if arena, err = b.repSlot.Arena(r.server); err != nil {
+		if hb, err = b.reqSlot.Bytes(r.server); err != nil {
 			return err
 		}
 	}
-	renc, ok := b.splan.AcquireArenaEncoder(arena[headerSize:])
-	if !ok {
-		henc := b.splan.Codec.NewEncoder()
-		b.disp.ServeMessageContext(nil, b.splan, int(op), body, henc)
-		if err := recycle(); err != nil {
-			return err
-		}
-		return b.publishReply(op, henc.Bytes(), nil)
-	}
-	b.disp.ServeMessageContext(nil, b.splan, int(op), body, renc)
-	encoded := renc.Bytes()
-	if err := recycle(); err != nil {
-		b.splan.ReleaseArenaEncoder(renc)
-		return err
-	}
-	if n, err := runtime.ArenaLen(arena[headerSize:], encoded); err == nil {
-		putHeader(arena, op, uint32(n), 0)
-		if !b.trusted {
-			if err := b.repSlot.SetProduced(r.server, headerSize+n); err != nil {
-				b.splan.ReleaseArenaEncoder(renc)
-				return err
-			}
-			if err := b.repSlot.Transfer(r.server, r.client, false); err != nil {
-				b.splan.ReleaseArenaEncoder(renc)
-				return err
-			}
-		}
-		b.splan.ReleaseArenaEncoder(renc)
-		r.repBell.ring(stateRep, 0)
-		return nil
-	}
-	// Oversized reply: the encode landed in heap storage; splice it
-	// across pool slots without re-dispatching.
-	return b.publishReply(op, encoded, renc)
-}
-
-func (b *Bound) publishReply(op uint32, frame []byte, renc runtime.ArenaEncoder) error {
-	head, _, err := b.ring.writeMessage(nil, b.ring.server, b.ring.client, op, frame)
-	if renc != nil {
-		b.splan.ReleaseArenaEncoder(renc)
+	op, n, flags, err := parseHeader(hb, b.trusted)
+	if err == nil && (flags&contMask != 0 || headerSize+int(n) > len(hb)) {
+		err = fmt.Errorf("%w: request frame", ErrBadHeader)
 	}
 	if err != nil {
 		return err
 	}
-	b.ring.repBell.ring(stateRep, uint64(head.ID()))
+	arena := b.repArena
+	if !b.trusted {
+		if arena, err = b.repSlot.Arena(r.server); err != nil {
+			return err
+		}
+	}
+	renc, _ := b.splan.AcquireArenaEncoder(arena[headerSize:])
+	b.disp.ServeMessageContext(nil, b.splan, int(op), hb[headerSize:headerSize+int(n)], renc)
+	rn, aerr := runtime.ArenaLen(arena[headerSize:], renc.Bytes())
+	b.splan.ReleaseArenaEncoder(renc)
+	var rflags uint32
+	if aerr != nil {
+		// The handler ran but its reply outgrew the budget: the frame
+		// tells the client so instead of tearing the binding down.
+		rn, rflags = 0, flagTooLarge
+	}
+	// The request bytes are consumed. Hand the request buffer back
+	// before the reply bell rings: once the client wakes it may
+	// produce the next request there.
+	if !b.trusted {
+		if err := b.reqSlot.Transfer(r.server, r.client, false); err != nil {
+			return err
+		}
+	}
+	putHeader(arena, op, uint32(rn), rflags)
+	if !b.trusted {
+		if err := b.repSlot.SetProduced(r.server, headerSize+rn); err != nil {
+			return err
+		}
+		if err := b.repSlot.Transfer(r.server, r.client, false); err != nil {
+			return err
+		}
+	}
+	r.repBell.ring(stateRep, 0)
+	return nil
+}
+
+// serveSpliced consumes a name-table request frame and publishes the
+// reply as one, encoded once into the binding's reply staging buffer.
+func (b *Bound) serveSpliced(ref uint64) error {
+	r := b.ring
+	op, body, aliased, bufs, err := r.readMessage(r.server, ref, b.scratch)
+	if err != nil {
+		r.freeAll(r.server, bufs)
+		return err
+	}
+	if !aliased && cap(body) > cap(b.scratch) {
+		b.scratch = body[:0]
+	}
+	enc, _ := b.splan.AcquireArenaEncoder(b.repStage)
+	defer b.splan.ReleaseArenaEncoder(enc)
+	b.disp.ServeMessageContext(nil, b.splan, int(op), body, enc)
+	b.repStage = keepStage(b.repStage, enc.Bytes())
+	// Recycle the request's slots before leasing the reply's.
+	r.freeAll(r.server, bufs)
+	head, _, err := r.writeMessage(nil, r.server, r.client, op, enc.Bytes())
+	if err != nil {
+		return err
+	}
+	r.repBell.ring(stateRep, uint64(head.ID()))
 	return nil
 }

@@ -14,7 +14,9 @@
 // path at bind time (see Connect): [trusted] endpoints skip header
 // validation and the per-handoff fbuf ownership protocol, and
 // [nonunique] naming replaces the path-wide name-table lookup with
-// direct ring-position indexing.
+// one request and one reply buffer leased at bind. Leased buffers
+// hold the ring's whole per-message budget, so those bindings
+// produce and consume every message in place and never splice.
 //
 // The generic Conn/Server pair below implements runtime.Conn for
 // already-marshaled bodies — the session layer (RobustConn,
@@ -49,6 +51,9 @@ const (
 
 	// contMask extracts the continuation-slot count from flags.
 	contMask = 0xFFFF
+	// flagTooLarge marks a bodiless reply frame standing in for a
+	// reply that exceeded the message budget.
+	flagTooLarge = 1 << 16
 )
 
 // MaxMessage bounds a message body regardless of ring capacity; a
@@ -290,6 +295,12 @@ type Config struct {
 	// Slots is the pool depth; 0 means DefaultSlots. One message may
 	// splice together at most half the ring, so both directions can
 	// hold a maximal message at once without deadlocking the pool.
+	// The body one such splice carries is the ring's per-message
+	// budget: (Slots/2 - 1) * SlotSize bytes, 12 KiB by default (or
+	// one slot's body, when that is larger). A Connect binding with a
+	// [trusted] or [nonunique] presentation leases one buffer of that
+	// budget per direction and never splices; any message up to the
+	// budget is produced and consumed in place.
 	Slots int
 }
 
@@ -332,14 +343,23 @@ func (r *Ring) maxMsgSlots() int {
 	return n
 }
 
+// maxBody is the ring's per-message budget: the largest body
+// writeMessage accepts, in the head slot alone or spliced across as
+// many continuation slots as maxMsgSlots and the head slot's id list
+// allow.
+func (r *Ring) maxBody() int {
+	nCont := min(r.maxMsgSlots()-1, (r.slotSize-headerSize)/4, contMask)
+	return min(max(r.slotSize-headerSize, nCont*r.slotSize), MaxMessage)
+}
+
 // writeMessage leases slots from the pool, produces the frame in
 // place (header and body in the head slot when the body fits; header
 // plus continuation ids in the head and the body spliced across
 // continuation slots otherwise), and transfers ownership to the
 // receiving domain. ctx bounds the wait for pool slots.
 func (r *Ring) writeMessage(ctx context.Context, from, to *fbuf.Domain, op uint32, body []byte) (*fbuf.Buffer, []*fbuf.Buffer, error) {
-	if len(body) > MaxMessage {
-		return nil, nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(body))
+	if len(body) > r.maxBody() {
+		return nil, nil, fmt.Errorf("%w: %d bytes, ring allows %d", ErrTooLarge, len(body), r.maxBody())
 	}
 	head, err := r.path.AllocBlockingContext(ctx, from)
 	if err != nil {
@@ -364,11 +384,6 @@ func (r *Ring) writeMessage(ctx context.Context, from, to *fbuf.Domain, op uint3
 		return head, nil, nil
 	}
 	nCont := (len(body) + r.slotSize - 1) / r.slotSize
-	if 1+nCont > r.maxMsgSlots() || headerSize+4*nCont > r.slotSize || nCont > contMask {
-		head.Free(from)
-		return nil, nil, fmt.Errorf("%w: %d bytes need %d slots, ring allows %d",
-			ErrTooLarge, len(body), 1+nCont, r.maxMsgSlots())
-	}
 	putHeader(arena, op, uint32(len(body)), uint32(nCont))
 	cont := make([]*fbuf.Buffer, 0, nCont)
 	fail := func(err error) (*fbuf.Buffer, []*fbuf.Buffer, error) {

@@ -16,8 +16,8 @@ import (
 
 // ringIface covers the shapes the ring must carry: a null call,
 // scalar in/result, bulk in, bulk result, an inout/out pair, a
-// port-carrying op (the naming annotation's subject), and a failing
-// op for the error channel.
+// port-carrying op (the naming annotation's subject), a failing op
+// for the error channel, and a bulk result with no bulk argument.
 func ringIface(t testing.TB) *pres.Presentation {
 	t.Helper()
 	f, err := corba.Parse("ring.idl", `
@@ -30,6 +30,7 @@ func ringIface(t testing.TB) *pres.Presentation {
 			void grant(in Object which);
 			void fail(in string msg);
 			void hang();
+			sequence<octet> get();
 		};`)
 	if err != nil {
 		t.Fatal(err)
@@ -40,6 +41,9 @@ func ringIface(t testing.TB) *pres.Presentation {
 type probe struct {
 	putLen  int
 	granted runtime.PortName
+	// getReply is the result get returns, boxed once by the test so
+	// the handler itself allocates nothing.
+	getReply runtime.Value
 }
 
 func newDispatcher(t testing.TB, p *pres.Presentation, pr *probe) *runtime.Dispatcher {
@@ -79,6 +83,10 @@ func newDispatcher(t testing.TB, p *pres.Presentation, pr *probe) *runtime.Dispa
 	})
 	disp.Handle("fail", func(c *runtime.Call) error {
 		return errors.New(c.Arg(0).(string))
+	})
+	disp.Handle("get", func(c *runtime.Call) error {
+		c.SetResult(pr.getReply)
+		return nil
 	})
 	disp.Handle("hang", func(c *runtime.Call) error {
 		select {
@@ -382,15 +390,78 @@ func TestBoundRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBoundOversizeSpill drives payloads that outgrow the leased slot
-// in every mode: the request and the reply must spill into spliced
-// (or heap, inline) frames and still round trip.
-func TestBoundOversizeSpill(t *testing.T) {
+// budgetConfig is a small ring whose slot body (112 B) is much less
+// than its per-message budget (7 continuation slots: 896 B).
+var budgetConfig = Config{SlotSize: 128, Slots: 16}
+
+// TestBoundBetweenSlotAndBudget drives messages larger than one slot
+// but within the per-message budget. The leased modes produce and
+// consume them in place in their leased buffers — the ring's pool is
+// never drawn from, so none of its buffers ever gets storage — while
+// doorbell-unique still splices them across the pool.
+func TestBoundBetweenSlotAndBudget(t *testing.T) {
+	payload := bytes.Repeat([]byte{7, 1, 9, 3}, 128) // 512 B
 	for _, m := range modes() {
 		t.Run(m.name, func(t *testing.T) {
-			b, pr := connectMode(t, m, Config{SlotSize: 128, Slots: 16})
-			payload := bytes.Repeat([]byte{7, 1, 9, 3}, 128) // 512 B >> 112 B slot body
+			b, pr := connectMode(t, m, budgetConfig)
+			if got, want := b.ring.maxBody(), 896; got != want {
+				t.Fatalf("budget = %d B, want %d", got, want)
+			}
 			driveCalls(t, b, pr, payload)
+			pr.getReply = payload
+			_, ret, err := b.Invoke("get", nil, nil, nil)
+			if err != nil {
+				t.Fatalf("get: %v", err)
+			}
+			if !bytes.Equal(ret.([]byte), payload) {
+				t.Fatalf("get returned %d bytes, want %d", len(ret.([]byte)), len(payload))
+			}
+			spliced := b.ring.path.Materialized() > 0
+			if leased := m.trusted || m.nonUnique; spliced == leased {
+				t.Fatalf("leased %v, but ring pool materialized %d buffers", leased, b.ring.path.Materialized())
+			}
+			if free := b.ring.path.FreeCount(); free != budgetConfig.Slots {
+				t.Fatalf("ring pool holds %d of %d buffers after the calls", free, budgetConfig.Slots)
+			}
+		})
+	}
+}
+
+// TestBoundBeyondBudget: a message larger than the per-message budget
+// fails with ErrTooLarge in the leased doorbell modes, in either
+// direction, and the binding stays usable. Inline dispatch still
+// round-trips it: the caller's goroutine carries the heap bytes of
+// the encode that outgrew the arena.
+func TestBoundBeyondBudget(t *testing.T) {
+	big := bytes.Repeat([]byte{5, 4, 3, 2}, 256) // 1 KiB
+	for _, m := range modes() {
+		if !m.trusted && !m.nonUnique {
+			continue
+		}
+		t.Run(m.name, func(t *testing.T) {
+			b, pr := connectMode(t, m, budgetConfig)
+			pr.getReply = big
+			if m.inline {
+				driveCalls(t, b, pr, big)
+				_, ret, err := b.Invoke("get", nil, nil, nil)
+				if err != nil {
+					t.Fatalf("inline get: %v", err)
+				}
+				if !bytes.Equal(ret.([]byte), big) {
+					t.Fatalf("inline get returned %d bytes, want %d", len(ret.([]byte)), len(big))
+				}
+				return
+			}
+			if _, _, err := b.Invoke("put", []runtime.Value{big}, nil, nil); !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("put beyond budget = %v, want ErrTooLarge", err)
+			}
+			if pr.putLen != 0 {
+				t.Fatalf("handler ran on a request that exceeded the budget")
+			}
+			if _, _, err := b.Invoke("get", nil, nil, nil); !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("reply beyond budget = %v, want ErrTooLarge", err)
+			}
+			driveCalls(t, b, pr, []byte("still bound"))
 		})
 	}
 }
