@@ -135,6 +135,17 @@ func newWorld(t testing.TB) *world {
 	return w
 }
 
+// shmPair connects a generic shmring client/server pair over a
+// default-geometry ring.
+func shmPair(t testing.TB, disp *runtime.Dispatcher, plan *runtime.Plan) (*shmring.Conn, *shmring.Server) {
+	t.Helper()
+	conn, srv, err := shmring.NewWithConfig(disp, plan, shmring.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, srv
+}
+
 func (w *world) plan(t testing.TB) *runtime.Plan {
 	t.Helper()
 	plan, err := runtime.NewPlan(w.p, runtime.XDRCodec, confHooks{})
@@ -301,7 +312,7 @@ func cells() []cell {
 		{
 			name: "shm/plain", failClass: "remote", failCarriesMsg: true,
 			build: func(t *testing.T, w *world) invoker {
-				conn, srv := shmring.New(w.disp, w.plan(t))
+				conn, srv := shmPair(t, w.disp, w.plan(t))
 				go func() { _ = srv.Serve(context.Background()) }()
 				return newClient(t, w, conn)
 			},
@@ -309,7 +320,7 @@ func cells() []cell {
 		{
 			name: "shm/robust", failClass: "remote", failCarriesMsg: true,
 			build: func(t *testing.T, w *world) invoker {
-				conn, srv := shmring.New(w.disp, w.plan(t))
+				conn, srv := shmPair(t, w.disp, w.plan(t))
 				sess := w.session(t)
 				go func() { _ = srv.ServeSession(context.Background(), sess) }()
 				return newClient(t, w, runtime.NewRobustConn(conn, w.p, robustOpts()))
@@ -318,7 +329,7 @@ func cells() []cell {
 		{
 			name: "shm/robust+fault", failClass: "remote", failCarriesMsg: true,
 			build: func(t *testing.T, w *world) invoker {
-				conn, srv := shmring.New(w.disp, w.plan(t))
+				conn, srv := shmPair(t, w.disp, w.plan(t))
 				sess := w.session(t)
 				go func() { _ = srv.ServeSession(context.Background(), sess) }()
 				faulty := faultconn.New(faultProfile()).Wrap(conn)

@@ -10,7 +10,6 @@ import (
 
 	"flexrpc/internal/netsim"
 	"flexrpc/internal/runtime"
-	"flexrpc/internal/transport/shmring"
 	"flexrpc/internal/transport/suntcp"
 )
 
@@ -70,7 +69,7 @@ func overloadCells() []overloadCell {
 		{
 			name: "shm/admission",
 			build: func(t *testing.T, ow *overloadWorld) invoker {
-				conn, srv := shmring.New(ow.disp, ow.plan(t))
+				conn, srv := shmPair(t, ow.disp, ow.plan(t))
 				go func() { _ = srv.ServeSession(context.Background(), ow.sess) }()
 				return newClient(t, ow.world, runtime.NewRobustConn(conn, ow.p, robustOpts()))
 			},

@@ -139,9 +139,10 @@ func (p *Path) AllocBlocking(origin *Domain) (*Buffer, error) {
 // AllocBlockingContext is AllocBlocking bounded by a context: when
 // the pool is empty the caller waits for a Free, but no longer than
 // ctx allows, so a full ring respects the caller's deadline instead
-// of parking forever. A nil ctx behaves like AllocBlocking.
+// of parking forever. A nil ctx, or one that can never be done,
+// behaves like AllocBlocking and costs no wake-up registration.
 func (p *Path) AllocBlockingContext(ctx context.Context, origin *Domain) (*Buffer, error) {
-	if ctx == nil {
+	if ctx == nil || ctx.Done() == nil {
 		return p.AllocBlocking(origin)
 	}
 	if !p.onPath(origin) {

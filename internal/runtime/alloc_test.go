@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"testing"
 
 	"flexrpc/internal/idl/corba"
@@ -50,8 +51,9 @@ func (c *fixedConn) Call(opIdx int, req, replyBuf []byte) ([]byte, error) {
 
 func (c *fixedConn) Close() error { return nil }
 
-// clientStack builds a marshal client over a canned-reply transport.
-func clientStack(t *testing.T) *Client {
+// clientStack builds a marshal client over a canned-reply transport,
+// serial or parallel.
+func clientStack(t *testing.T, parallel bool) *Client {
 	t.Helper()
 	p := allocPres(t)
 	disp := NewDispatcher(p)
@@ -62,7 +64,11 @@ func clientStack(t *testing.T) *Client {
 	}
 	enc := XDRCodec.NewEncoder()
 	disp.ServeMessage(plan, plan.OpIndex("nop"), nil, enc)
-	client, err := NewClient(p, XDRCodec, &fixedConn{reply: append([]byte(nil), enc.Bytes()...)}, nil)
+	newClient := NewClient
+	if parallel {
+		newClient = NewParallelClient
+	}
+	client, err := newClient(p, XDRCodec, &fixedConn{reply: append([]byte(nil), enc.Bytes()...)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,19 +87,21 @@ func TestClientNullCallZeroAllocsStatsOff(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
 	}
-	client := clientStack(t)
-	gateAllocs(t, "stats-off null call", 0, func() {
-		if _, _, err := client.Invoke("nop", nil, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
+	for _, parallel := range []bool{false, true} {
+		client := clientStack(t, parallel)
+		gateAllocs(t, fmt.Sprintf("stats-off null call (parallel %v)", parallel), 0, func() {
+			if _, _, err := client.Invoke("nop", nil, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 func TestClientNullCallBoundedAllocsStatsOn(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under the race detector")
 	}
-	client := clientStack(t)
+	client := clientStack(t, false)
 	client.EnableStats().EnableTracing(256)
 	gateAllocs(t, "stats-on null call", 2, func() {
 		if _, _, err := client.Invoke("nop", nil, nil, nil); err != nil {

@@ -98,7 +98,7 @@ func TestCertificateMatchesGates(t *testing.T) {
 	}
 	cert := hotCert(t)
 
-	client := clientStack(t)
+	client := clientStack(t, false)
 	nop := cert.OpCert("nop")
 	gateAllocs(t, "certified client null call", float64(nop.ClientAllocBound), func() {
 		if _, _, err := client.Invoke("nop", nil, nil, nil); err != nil {

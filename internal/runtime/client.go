@@ -50,11 +50,9 @@ type Client struct {
 	stats     *stats.Endpoint
 	traceConn TraceConn // conn's trace-propagating form, when it has one
 
-	// Serial mode: one encoder/decoder/reply buffer behind a mutex.
-	mu       sync.Mutex
-	enc      Encoder
-	dec      ReusableDecoder
-	replyBuf []byte
+	// Serial mode: one callState behind a mutex.
+	mu    sync.Mutex
+	state callState
 
 	// Parallel mode: per-call marshal state sharded through a pool.
 	states sync.Pool
@@ -69,10 +67,10 @@ type TraceConn interface {
 	CallTraceContext(ctx context.Context, opIdx int, req, replyBuf []byte, tid uint32) ([]byte, error)
 }
 
-// callState is the per-call marshal state a parallel client shards:
-// the encoder, a reusable reply decoder, and the reply landing
-// buffer, recycled across calls so the steady-state hot path
-// allocates nothing.
+// callState is the per-call marshal state: the encoder, a reusable
+// reply decoder, and the reply landing buffer, recycled across calls
+// so the steady-state hot path allocates nothing. A serial client
+// owns one; a parallel client shards them through a pool.
 type callState struct {
 	enc      Encoder
 	dec      ReusableDecoder
@@ -88,7 +86,7 @@ func NewClient(p *pres.Presentation, codec Codec, conn Conn, hooks SpecialHooks)
 		return nil, err
 	}
 	tc, _ := conn.(TraceConn)
-	return &Client{plan: plan, conn: conn, framed: connFramed(conn), traceConn: tc, enc: codec.NewEncoder()}, nil
+	return &Client{plan: plan, conn: conn, framed: connFramed(conn), traceConn: tc, state: callState{enc: codec.NewEncoder()}}, nil
 }
 
 // NewParallelClient builds a marshal-based client whose Invoke is
@@ -201,69 +199,41 @@ func (c *Client) invoke(ctx context.Context, op string, args []Value, outBufs []
 	opPlan := c.plan.Ops[idx]
 
 	if c.stats == nil {
-		if c.parallel {
-			return c.invokeParallel(ctx, opPlan, idx, args, outBufs, retBuf, 0)
-		}
-		return c.invokeSerial(ctx, opPlan, idx, args, outBufs, retBuf, 0)
+		return c.invokeOp(ctx, opPlan, idx, args, outBufs, retBuf, 0)
 	}
 
 	t0 := time.Now()
 	tid := c.stats.NextTraceID()
-	var (
-		outs []Value
-		ret  Value
-		err  error
-	)
-	if c.parallel {
-		outs, ret, err = c.invokeParallel(ctx, opPlan, idx, args, outBufs, retBuf, tid)
-	} else {
-		outs, ret, err = c.invokeSerial(ctx, opPlan, idx, args, outBufs, retBuf, tid)
-	}
+	outs, ret, err := c.invokeOp(ctx, opPlan, idx, args, outBufs, retBuf, tid)
 	c.stats.Trace(tid, idx, stats.StageReply)
 	c.stats.RecordCall(idx, time.Since(t0), 0, 0, clientOutcome(err))
 	return outs, ret, err
 }
 
-// invokeSerial round-trips one call under the client mutex.
-func (c *Client) invokeSerial(ctx context.Context, opPlan *OpPlan, idx int, args []Value, outBufs [][]byte, retBuf []byte, tid uint32) ([]Value, Value, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.Reset()
-	if err := opPlan.EncodeRequest(c.enc, args); err != nil {
-		return nil, nil, err
+// invokeOp round-trips one call with its marshal state: a serial
+// client's own, under its mutex, or a parallel client's pooled one.
+func (c *Client) invokeOp(ctx context.Context, opPlan *OpPlan, idx int, args []Value, outBufs [][]byte, retBuf []byte, tid uint32) ([]Value, Value, error) {
+	st := &c.state
+	if c.parallel {
+		st = c.states.Get().(*callState)
+		defer c.states.Put(st)
+	} else {
+		c.mu.Lock()
+		defer c.mu.Unlock()
 	}
-	reply, err := c.roundTrip(ctx, idx, c.enc.Bytes(), c.replyBuf, tid)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cap(reply) > cap(c.replyBuf) {
-		c.replyBuf = reply[:cap(reply)]
-	}
-	dec := c.decoderFor(&c.dec, reply)
-	return c.finishCall(opPlan, dec, outBufs, retBuf)
-}
-
-// invokeParallel is invokeSerial with pooled per-call state instead
-// of the client mutex.
-func (c *Client) invokeParallel(ctx context.Context, opPlan *OpPlan, idx int, args []Value, outBufs [][]byte, retBuf []byte, tid uint32) ([]Value, Value, error) {
-	st := c.states.Get().(*callState)
 	st.enc.Reset()
 	if err := opPlan.EncodeRequest(st.enc, args); err != nil {
-		c.states.Put(st)
 		return nil, nil, err
 	}
 	reply, err := c.roundTrip(ctx, idx, st.enc.Bytes(), st.replyBuf, tid)
 	if err != nil {
-		c.states.Put(st)
 		return nil, nil, err
 	}
 	if cap(reply) > cap(st.replyBuf) {
 		st.replyBuf = reply[:cap(reply)]
 	}
 	dec := c.decoderFor(&st.dec, reply)
-	outs, ret, err := c.finishCall(opPlan, dec, outBufs, retBuf)
-	c.states.Put(st)
-	return outs, ret, err
+	return c.finishCall(opPlan, dec, outBufs, retBuf)
 }
 
 // roundTrip sends the marshaled request and returns the raw reply,
@@ -311,16 +281,8 @@ func (c *Client) decoderFor(slot *ReusableDecoder, reply []byte) Decoder {
 // is not self-framing) and decodes the reply body.
 func (c *Client) finishCall(opPlan *OpPlan, dec Decoder, outBufs [][]byte, retBuf []byte) ([]Value, Value, error) {
 	if c.framed {
-		status, err := dec.Uint32()
-		if err != nil {
-			return nil, nil, fmt.Errorf("runtime: truncated reply: %w", err)
-		}
-		if status != replyOK {
-			msg, err := dec.String()
-			if err != nil {
-				msg = "(unreadable error)"
-			}
-			return nil, nil, &RemoteError{Msg: msg}
+		if err := ReadReplyStatus(dec); err != nil {
+			return nil, nil, err
 		}
 	}
 	if opPlan.Op.Oneway {
@@ -345,17 +307,30 @@ func RawCall(conn Conn, codec Codec, opIdx int, req, replyBuf []byte) (Decoder, 
 	}
 	dec := codec.NewDecoder(reply)
 	if connFramed(conn) {
-		status, err := dec.Uint32()
-		if err != nil {
-			return nil, nil, fmt.Errorf("runtime: truncated reply: %w", err)
-		}
-		if status != replyOK {
-			msg, err := dec.String()
-			if err != nil {
-				msg = "(unreadable error)"
-			}
-			return nil, nil, &RemoteError{Msg: msg}
+		if err := ReadReplyStatus(dec); err != nil {
+			return nil, nil, err
 		}
 	}
 	return dec, reply, nil
+}
+
+// ReadReplyStatus consumes the runtime's reply status framing from
+// dec: nil when the status word reports success, leaving dec at the
+// reply body; a *RemoteError carrying the server's message when it
+// reports failure; and an error when the reply is truncated.
+// Transports that frame their own replies in the runtime's format
+// decode them with it.
+func ReadReplyStatus(dec Decoder) error {
+	status, err := dec.Uint32()
+	if err != nil {
+		return fmt.Errorf("runtime: truncated reply: %w", err)
+	}
+	if status != replyOK {
+		msg, err := dec.String()
+		if err != nil {
+			msg = "(unreadable error)"
+		}
+		return &RemoteError{Msg: msg}
+	}
+	return nil
 }

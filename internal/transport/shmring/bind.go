@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flexrpc/internal/fbuf"
@@ -50,8 +49,10 @@ type Options struct {
 // message within the budget is produced and consumed in place and a
 // larger one fails with ErrTooLarge — except inline, where the
 // caller's goroutine can carry the heap bytes of an encode that
-// outgrew its arena. Unique-naming bindings publish every message as
-// a name-table frame spliced across the ring's pool.
+// outgrew its arena. A unique-naming binding is a client of the
+// generic name-table exchange instead: its calls make the same ring
+// exchange as Conn.Call, served by the generic Server loop, under the
+// same budget.
 //
 // Operations whose compiled plans carry no marshal steps at all
 // dispatch directly — the combination signature compiled the
@@ -77,15 +78,12 @@ type Bound struct {
 	reqSlot, repSlot   *fbuf.Buffer
 	reqArena, repArena []byte
 
-	// Name-table frames (unique naming): the heap storage requests
-	// and replies are encoded in before they are spliced into the
-	// ring's pool, and the server-side gather buffer for multi-slot
-	// requests.
-	reqStage, repStage, scratch []byte
+	// enc encodes unique-naming requests; the name-table exchange
+	// copies its bytes into pool slots.
+	enc runtime.Encoder
 
-	stats  *stats.Endpoint
-	closed atomic.Bool
-	done   chan struct{} // doorbell server goroutine exit
+	stats *stats.Endpoint
+	done  chan struct{} // doorbell server goroutine exit
 }
 
 type boundOp struct {
@@ -107,8 +105,8 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := codec.NewEncoder().(runtime.ArenaEncoder); !ok {
-		return nil, fmt.Errorf("shmring: codec %s cannot encode into ring slots", codec.Name())
+	if err := checkArenaCodec(codec); err != nil {
+		return nil, err
 	}
 	cplan, err := runtime.NewPlan(clientPres, codec, opts.Hooks)
 	if err != nil {
@@ -165,10 +163,20 @@ func Connect(clientPres *pres.Presentation, disp *runtime.Dispatcher, codec runt
 			return nil, err
 		}
 	}
-	if !b.inline {
-		go b.serveLoop()
-	} else {
+	switch {
+	case b.inline:
 		close(b.done)
+	case b.leased:
+		go b.serveLoop()
+	default:
+		b.enc = codec.NewEncoder()
+		srv := &Server{r: b.ring, disp: disp, plan: splan}
+		go func() {
+			defer close(b.done)
+			// A failing serve loop closes the reply doorbell, so calls
+			// see its failure as ErrClosed.
+			_ = srv.Serve(context.Background())
+		}()
 	}
 	return b, nil
 }
@@ -231,14 +239,10 @@ func (b *Bound) ServerPlan() *runtime.Plan { return b.splan }
 // Stats snapshots the client-side counters.
 func (b *Bound) Stats() *stats.Snapshot { return b.stats.Snapshot() }
 
-// Close tears the binding down: both doorbells wake closed and the
-// serve goroutine (if any) exits.
+// Close tears the binding down: both doorbells wake closed, and Close
+// returns once the serve goroutine (if any) has exited.
 func (b *Bound) Close() error {
-	if b.closed.Swap(true) {
-		return nil
-	}
-	b.ring.reqBell.close()
-	b.ring.repBell.close()
+	b.ring.poisonWith(nil)
 	<-b.done
 	return nil
 }
@@ -282,7 +286,7 @@ func (b *Bound) invoke(ctx context.Context, op string, args []runtime.Value, out
 }
 
 func (b *Bound) invokeBound(ctx context.Context, idx int, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
-	if b.closed.Load() {
+	if b.ring.closed() {
 		return nil, nil, ErrClosed
 	}
 	bop := &b.binds[idx]
@@ -300,13 +304,16 @@ func (b *Bound) invokeBound(ctx context.Context, idx int, args []runtime.Value, 
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed.Load() {
+	if b.ring.closed() {
 		return nil, nil, ErrClosed
 	}
-	if b.inline {
+	switch {
+	case b.inline:
 		return b.invokeInline(ctx, bop, args, outBufs, retBuf)
+	case b.leased:
+		return b.invokeLeased(ctx, bop, args, outBufs, retBuf)
 	}
-	return b.invokeDoorbell(ctx, bop, args, outBufs, retBuf)
+	return b.invokeUnique(ctx, bop, args, outBufs, retBuf)
 }
 
 // invokeInline runs the call on the caller's goroutine: request bytes
@@ -334,39 +341,24 @@ func (b *Bound) invokeInline(ctx context.Context, bop *boundOp, args []runtime.V
 	return outs, ret, err
 }
 
-// invokeDoorbell publishes the request through the doorbell handoff
-// and decodes the framed reply the serve goroutine produced.
-func (b *Bound) invokeDoorbell(ctx context.Context, bop *boundOp, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
-	ref, err := b.sendRequest(ctx, bop, args)
-	if err != nil {
+// invokeLeased produces the request in the leased request buffer,
+// hands it to the serve goroutine through the doorbells, and decodes
+// the reply the serve goroutine produced in the leased reply buffer.
+// A call abandoned at the doorbell poisons the binding (see
+// Ring.handoff).
+func (b *Bound) invokeLeased(ctx context.Context, bop *boundOp, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
+	if err := b.sendRequest(bop, args); err != nil {
 		return nil, nil, err
 	}
-	b.ring.reqBell.ring(stateReq, ref)
-	rref, ok, err := b.ring.repBell.waitCtx(ctx, stateRep)
-	if err != nil {
-		// Abandoned mid-exchange: the ring state is unknown, poison
-		// the binding rather than desynchronize.
-		b.poison()
+	if _, err := b.ring.handoff(ctx, 0); err != nil {
 		return nil, nil, err
 	}
-	if !ok {
-		b.closed.Store(true)
-		return nil, nil, ErrClosed
-	}
-	b.ring.repBell.reset()
-	return b.receiveReply(bop, rref, outBufs, retBuf)
+	return b.receiveReply(bop, outBufs, retBuf)
 }
 
-// sendRequest produces the request frame under the binding's mode and
-// returns the doorbell reference (0 = the leased buffer pair; nonzero =
-// the head slot id of a name-table frame).
-func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Value) (uint64, error) {
-	if !b.leased {
-		// Unique naming: the peer insists on resolving buffers through
-		// the system-maintained name table, so every call leases fresh
-		// slots and publishes their ids — the cost [nonunique] elides.
-		return b.spillRequest(ctx, bop, args)
-	}
+// sendRequest produces the request frame in the leased request
+// buffer.
+func (b *Bound) sendRequest(bop *boundOp, args []runtime.Value) error {
 	r := b.ring
 	arena := b.reqArena
 	if !b.trusted {
@@ -376,7 +368,7 @@ func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Va
 		// produce in place, declare the length, move ownership.
 		var err error
 		if arena, err = b.reqSlot.Arena(r.client); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	// Trusted: the cached arena is written directly; ownership ops and
@@ -384,74 +376,54 @@ func (b *Bound) sendRequest(ctx context.Context, bop *boundOp, args []runtime.Va
 	// produced for the peer.
 	n, err := bop.cop.EncodeRequestArena(arena[headerSize:], args)
 	if errors.Is(err, runtime.ErrArenaOverflow) {
-		return 0, fmt.Errorf("%w: request exceeds the %d-byte message budget", ErrTooLarge, r.maxBody())
+		return fmt.Errorf("%w: request exceeds the %d-byte message budget", ErrTooLarge, r.maxBody())
 	}
 	if err != nil {
-		return 0, err
+		return err
 	}
 	putHeader(arena, uint32(bop.idx), uint32(n), 0)
 	if b.trusted {
-		return 0, nil
+		return nil
 	}
 	if err := b.reqSlot.SetProduced(r.client, headerSize+n); err != nil {
-		return 0, err
+		return err
 	}
-	return 0, b.reqSlot.Transfer(r.client, r.server, false)
+	return b.reqSlot.Transfer(r.client, r.server, false)
 }
 
-// spillRequest publishes the request as a name-table frame spliced
-// across the ring's pool, so the peer can resolve the buffers by id.
-// The plan's pooled encoder produces it once, into the binding's heap
-// staging buffer.
-func (b *Bound) spillRequest(ctx context.Context, bop *boundOp, args []runtime.Value) (uint64, error) {
-	enc, _ := b.cplan.AcquireArenaEncoder(b.reqStage)
-	defer b.cplan.ReleaseArenaEncoder(enc)
-	if err := bop.cop.EncodeRequest(enc, args); err != nil {
-		return 0, err
-	}
-	b.reqStage = keepStage(b.reqStage, enc.Bytes())
-	head, _, err := b.ring.writeMessage(ctx, b.ring.client, b.ring.server, uint32(bop.idx), enc.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	return uint64(head.ID()), nil
-}
-
-// keepStage returns the larger of a staging buffer and the storage an
-// encode aimed at it grew into, so the next encode starts there.
-func keepStage(stage, encoded []byte) []byte {
-	if cap(encoded) > len(stage) {
-		return encoded[:cap(encoded)]
-	}
-	return stage
-}
-
-// receiveReply reads the framed reply (status word first), decodes
-// it with the client plan, and recycles the buffers it came in.
-func (b *Bound) receiveReply(bop *boundOp, ref uint64, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
-	r := b.ring
-	var reply []byte
-	var bufs []*fbuf.Buffer
-	var err error
-	if ref != 0 {
-		_, reply, _, bufs, err = r.readMessage(r.client, ref, nil)
-	} else {
-		reply, err = b.leasedReply()
-	}
+// receiveReply decodes the framed reply in the leased reply buffer
+// and, unless the binding is trusted, hands the buffer back to the
+// producer.
+func (b *Bound) receiveReply(bop *boundOp, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
+	reply, err := b.leasedReply()
 	var outs []runtime.Value
 	var ret runtime.Value
 	if err == nil {
 		outs, ret, err = b.decodeFramedReply(bop, reply, outBufs, retBuf)
 	}
-	if ref != 0 {
-		r.freeAll(r.client, bufs)
-	} else if !b.trusted {
-		// Recycle the leased reply buffer back to the producer.
-		if terr := b.repSlot.Transfer(r.client, r.server, false); terr != nil && err == nil {
+	if !b.trusted {
+		if terr := b.repSlot.Transfer(b.ring.client, b.ring.server, false); terr != nil && err == nil {
 			err = terr
 		}
 	}
 	return outs, ret, err
+}
+
+// invokeUnique makes the call as a name-table exchange: the peer
+// insists on resolving buffers through the system-maintained name
+// table, so the request is spliced into fresh pool slots whose ids
+// the doorbell publishes — the cost [nonunique] elides.
+func (b *Bound) invokeUnique(ctx context.Context, bop *boundOp, args []runtime.Value, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
+	b.enc.Reset()
+	if err := bop.cop.EncodeRequest(b.enc, args); err != nil {
+		return nil, nil, err
+	}
+	reply, _, bufs, err := b.ring.exchange(ctx, uint32(bop.idx), b.enc.Bytes(), nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer b.ring.freeAll(b.ring.client, bufs)
+	return b.decodeFramedReply(bop, reply, outBufs, retBuf)
 }
 
 // leasedReply returns the reply body framed in the leased reply
@@ -469,7 +441,7 @@ func (b *Bound) leasedReply() ([]byte, error) {
 	case err != nil:
 		return nil, err
 	case flags&flagTooLarge != 0:
-		return nil, fmt.Errorf("%w: reply exceeds the %d-byte message budget", ErrTooLarge, b.ring.maxBody())
+		return nil, b.ring.errReplyTooLarge()
 	case headerSize+int(n) > len(hb):
 		return nil, fmt.Errorf("%w: reply length %d", ErrBadHeader, n)
 	}
@@ -479,48 +451,25 @@ func (b *Bound) leasedReply() ([]byte, error) {
 func (b *Bound) decodeFramedReply(bop *boundOp, reply []byte, outBufs [][]byte, retBuf []byte) ([]runtime.Value, runtime.Value, error) {
 	dec := b.cplan.AcquireDecoder(reply)
 	defer b.cplan.ReleaseDecoder(dec)
-	status, err := dec.Uint32()
-	if err != nil {
-		return nil, nil, fmt.Errorf("shmring: truncated reply: %w", err)
-	}
-	if status != 0 {
-		msg, merr := dec.String()
-		if merr != nil {
-			msg = "(unreadable error)"
-		}
-		return nil, nil, &runtime.RemoteError{Msg: msg}
+	if err := runtime.ReadReplyStatus(dec); err != nil {
+		return nil, nil, err
 	}
 	return bop.cop.DecodeReply(dec, outBufs, retBuf)
 }
 
-// poison marks the binding unusable and wakes everything.
-func (b *Bound) poison() {
-	if !b.closed.Swap(true) {
-		b.ring.reqBell.close()
-		b.ring.repBell.close()
-	}
-}
-
-// serveLoop is the doorbell-mode server: it consumes request frames,
-// dispatches them, and publishes framed replies the same way the
-// request came — in the leased reply buffer, or as a name-table frame.
+// serveLoop is the leased bindings' doorbell server: it consumes each
+// request in the leased request buffer and produces the reply in the
+// leased reply buffer.
 func (b *Bound) serveLoop() {
 	defer close(b.done)
 	r := b.ring
 	for {
-		ref, ok := r.reqBell.wait(stateReq)
-		if !ok {
+		if _, ok := r.reqBell.wait(stateReq); !ok {
 			r.repBell.close()
 			return
 		}
 		r.reqBell.reset()
-		var err error
-		if ref == 0 {
-			err = b.serveLeased()
-		} else {
-			err = b.serveSpliced(ref)
-		}
-		if err != nil {
+		if err := b.serveLeased(); err != nil {
 			r.repBell.close()
 			return
 		}
@@ -579,31 +528,5 @@ func (b *Bound) serveLeased() error {
 		}
 	}
 	r.repBell.ring(stateRep, 0)
-	return nil
-}
-
-// serveSpliced consumes a name-table request frame and publishes the
-// reply as one, encoded once into the binding's reply staging buffer.
-func (b *Bound) serveSpliced(ref uint64) error {
-	r := b.ring
-	op, body, aliased, bufs, err := r.readMessage(r.server, ref, b.scratch)
-	if err != nil {
-		r.freeAll(r.server, bufs)
-		return err
-	}
-	if !aliased && cap(body) > cap(b.scratch) {
-		b.scratch = body[:0]
-	}
-	enc, _ := b.splan.AcquireArenaEncoder(b.repStage)
-	defer b.splan.ReleaseArenaEncoder(enc)
-	b.disp.ServeMessageContext(nil, b.splan, int(op), body, enc)
-	b.repStage = keepStage(b.repStage, enc.Bytes())
-	// Recycle the request's slots before leasing the reply's.
-	r.freeAll(r.server, bufs)
-	head, _, err := r.writeMessage(nil, r.server, r.client, op, enc.Bytes())
-	if err != nil {
-		return err
-	}
-	r.repBell.ring(stateRep, uint64(head.ID()))
 	return nil
 }

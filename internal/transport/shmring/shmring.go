@@ -21,7 +21,8 @@
 // The generic Conn/Server pair below implements runtime.Conn for
 // already-marshaled bodies — the session layer (RobustConn,
 // at-most-once, deadlines) and the conformance matrix run over it
-// unchanged. The zero-copy bind-time path lives in Connect.
+// unchanged. The zero-copy bind-time path lives in Connect; a
+// unique-naming binding makes the same name-table exchange as Conn.
 package shmring
 
 import (
@@ -356,42 +357,39 @@ func (r *Ring) maxBody() int {
 // place (header and body in the head slot when the body fits; header
 // plus continuation ids in the head and the body spliced across
 // continuation slots otherwise), and transfers ownership to the
-// receiving domain. ctx bounds the wait for pool slots.
-func (r *Ring) writeMessage(ctx context.Context, from, to *fbuf.Domain, op uint32, body []byte) (*fbuf.Buffer, []*fbuf.Buffer, error) {
+// receiving domain, returning the head slot. flags are set in the
+// header beside the continuation count. ctx bounds the wait for pool
+// slots.
+func (r *Ring) writeMessage(ctx context.Context, from, to *fbuf.Domain, op, flags uint32, body []byte) (*fbuf.Buffer, error) {
 	if len(body) > r.maxBody() {
-		return nil, nil, fmt.Errorf("%w: %d bytes, ring allows %d", ErrTooLarge, len(body), r.maxBody())
+		return nil, fmt.Errorf("%w: %d bytes, ring allows %d", ErrTooLarge, len(body), r.maxBody())
 	}
 	head, err := r.path.AllocBlockingContext(ctx, from)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	arena, err := head.Arena(from)
 	if err != nil {
 		head.Free(from)
-		return nil, nil, err
+		return nil, err
 	}
 	if len(body) <= r.slotSize-headerSize {
-		putHeader(arena, op, uint32(len(body)), 0)
+		putHeader(arena, op, uint32(len(body)), flags)
 		copy(arena[headerSize:], body)
-		if err := head.SetProduced(from, headerSize+len(body)); err != nil {
-			head.Free(from)
-			return nil, nil, err
+		if err := handOver(head, from, to, headerSize+len(body)); err != nil {
+			return nil, err
 		}
-		if err := head.Transfer(from, to, false); err != nil {
-			head.Free(from)
-			return nil, nil, err
-		}
-		return head, nil, nil
+		return head, nil
 	}
 	nCont := (len(body) + r.slotSize - 1) / r.slotSize
-	putHeader(arena, op, uint32(len(body)), uint32(nCont))
+	putHeader(arena, op, uint32(len(body)), flags|uint32(nCont))
 	cont := make([]*fbuf.Buffer, 0, nCont)
-	fail := func(err error) (*fbuf.Buffer, []*fbuf.Buffer, error) {
+	fail := func(err error) (*fbuf.Buffer, error) {
 		head.Free(from)
 		for _, s := range cont {
 			s.Free(from)
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	off := 0
 	for i := 0; i < nCont; i++ {
@@ -426,7 +424,20 @@ func (r *Ring) writeMessage(ctx context.Context, from, to *fbuf.Domain, op uint3
 	if err := head.Transfer(from, to, false); err != nil {
 		return fail(err)
 	}
-	return head, cont, nil
+	return head, nil
+}
+
+// handOver declares the n bytes produced in b and moves b to the
+// receiving domain, freeing it on failure.
+func handOver(b *fbuf.Buffer, from, to *fbuf.Domain, n int) error {
+	err := b.SetProduced(from, n)
+	if err == nil {
+		err = b.Transfer(from, to, false)
+	}
+	if err != nil {
+		b.Free(from)
+	}
+	return err
 }
 
 // readMessage resolves the published frame for domain d, validates it,
@@ -434,7 +445,8 @@ func (r *Ring) writeMessage(ctx context.Context, from, to *fbuf.Domain, op uint3
 // first) so the caller can recycle them once the body is no longer
 // referenced. Single-slot bodies alias pool storage (aliased true);
 // multi-slot bodies are spliced as an fbuf.Aggregate and gathered
-// into dst (grown when too small).
+// into dst (grown when too small). A frame flagged too-large reads as
+// ErrTooLarge.
 func (r *Ring) readMessage(d *fbuf.Domain, ref uint64, dst []byte) (op uint32, body []byte, aliased bool, bufs []*fbuf.Buffer, err error) {
 	head, err := r.path.ByID(d, uint32(ref))
 	if err != nil {
@@ -448,6 +460,9 @@ func (r *Ring) readMessage(d *fbuf.Domain, ref uint64, dst []byte) (op uint32, b
 	op, bodyLen, flags, err := parseHeader(hb, false)
 	if err != nil {
 		return 0, nil, false, bufs, err
+	}
+	if flags&flagTooLarge != 0 {
+		return 0, nil, false, bufs, r.errReplyTooLarge()
 	}
 	nCont := int(flags & contMask)
 	if nCont == 0 {
@@ -481,6 +496,60 @@ func (r *Ring) readMessage(d *fbuf.Domain, ref uint64, dst []byte) (op uint32, b
 	return op, dst, false, bufs, nil
 }
 
+// errReplyTooLarge is what a call whose reply frame is flagged
+// too-large fails with.
+func (r *Ring) errReplyTooLarge() error {
+	return fmt.Errorf("%w: reply exceeds the %d-byte message budget", ErrTooLarge, r.maxBody())
+}
+
+// closed reports whether the ring has been closed: every closure
+// closes the reply doorbell.
+func (r *Ring) closed() bool { return r.repBell.dead.Load() }
+
+// handoff rings the request doorbell with ref and waits, bounded by
+// ctx, for the reply doorbell, returning the reply's reference. A
+// wait that ctx abandons poisons the ring: the exchange is still in
+// flight, so no later call could tell its reply from this one's.
+func (r *Ring) handoff(ctx context.Context, ref uint64) (uint64, error) {
+	r.reqBell.ring(stateReq, ref)
+	rref, ok, err := r.repBell.waitCtx(ctx, stateRep)
+	if err != nil {
+		r.poisonWith(nil)
+		return 0, err
+	}
+	if !ok {
+		return 0, r.closeErr()
+	}
+	r.repBell.reset()
+	return rref, nil
+}
+
+// exchange is the one name-table round trip, made by Conn.Call and by
+// unique-naming Bound calls: req is published as a frame in pool
+// slots, the doorbells hand it over (see handoff), and the reply
+// frame is read back as readMessage returns it, gathered into dst
+// when spliced. The caller frees bufs once it no longer references
+// body.
+func (r *Ring) exchange(ctx context.Context, op uint32, req, dst []byte) (body []byte, aliased bool, bufs []*fbuf.Buffer, err error) {
+	if r.closed() {
+		return nil, false, nil, r.closeErr()
+	}
+	head, err := r.writeMessage(ctx, r.client, r.server, op, 0, req)
+	if err != nil {
+		return nil, false, nil, fmt.Errorf("shmring: send: %w", err)
+	}
+	ref, err := r.handoff(ctx, uint64(head.ID()))
+	if err != nil {
+		return nil, false, nil, err
+	}
+	_, body, aliased, bufs, err = r.readMessage(r.client, ref, dst)
+	if err != nil {
+		r.freeAll(r.client, bufs)
+		return nil, false, nil, fmt.Errorf("shmring: receive: %w", err)
+	}
+	return body, aliased, bufs, nil
+}
+
 // freeAll recycles leased buffers back to the pool.
 func (r *Ring) freeAll(d *fbuf.Domain, bufs []*fbuf.Buffer) {
 	for _, b := range bufs {
@@ -493,11 +562,9 @@ func (r *Ring) freeAll(d *fbuf.Domain, bufs []*fbuf.Buffer) {
 // is in flight at a time (the ring has no xids); the session layer's
 // retries and deadlines compose on top exactly as over a pipe.
 type Conn struct {
-	mu     sync.Mutex
-	r      *Ring
-	stats  *stats.Endpoint
-	bufs   []*fbuf.Buffer
-	closed bool
+	mu    sync.Mutex
+	r     *Ring
+	stats *stats.Endpoint
 }
 
 // A Server executes frames published on the request doorbell against
@@ -507,24 +574,19 @@ type Server struct {
 	disp    *runtime.Dispatcher
 	plan    *runtime.Plan
 	scratch []byte
-	bufs    []*fbuf.Buffer
 }
 
-// New creates a connected client/server pair over a default-geometry
-// ring. Run srv.Serve (or srv.ServeSession) in a goroutine, then
-// issue calls on the Conn.
-func New(disp *runtime.Dispatcher, plan *runtime.Plan) (*Conn, *Server) {
-	c, s, err := NewWithConfig(disp, plan, Config{})
-	if err != nil {
-		panic(err) // defaults are always valid
-	}
-	return c, s
-}
-
-// NewWithConfig is New with explicit ring geometry.
+// NewWithConfig creates a connected client/server pair over a ring of
+// the given geometry (the zero Config is the default one). Run
+// srv.Serve (or srv.ServeSession) in a goroutine, then issue calls on
+// the Conn. plan's codec must be able to encode into ring slots, as
+// both built-in codecs can.
 func NewWithConfig(disp *runtime.Dispatcher, plan *runtime.Plan, cfg Config) (*Conn, *Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := checkArenaCodec(plan.Codec); err != nil {
 		return nil, nil, err
 	}
 	r := newRing(cfg)
@@ -545,27 +607,9 @@ func (c *Conn) SetStats(e *stats.Endpoint) {
 func (c *Conn) Call(opIdx int, req, replyBuf []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, c.r.closeErr()
-	}
-	head, _, err := c.r.writeMessage(nil, c.r.client, c.r.server, uint32(opIdx), req)
+	body, aliased, bufs, err := c.r.exchange(nil, uint32(opIdx), req, replyBuf)
 	if err != nil {
-		return nil, fmt.Errorf("shmring: send: %w", err)
-	}
-	if c.stats != nil {
-		c.stats.Wire.Add(headerSize + len(req))
-	}
-	c.r.reqBell.ring(stateReq, uint64(head.ID()))
-	ref, ok := c.r.repBell.wait(stateRep)
-	if !ok {
-		c.closed = true
-		return nil, c.r.closeErr()
-	}
-	c.r.repBell.reset()
-	_, body, aliased, bufs, err := c.r.readMessage(c.r.client, ref, replyBuf)
-	if err != nil {
-		c.r.freeAll(c.r.client, bufs)
-		return nil, fmt.Errorf("shmring: receive: %w", err)
+		return nil, err
 	}
 	out := body
 	if aliased {
@@ -581,7 +625,7 @@ func (c *Conn) Call(opIdx int, req, replyBuf []byte) ([]byte, error) {
 	}
 	c.r.freeAll(c.r.client, bufs)
 	if c.stats != nil {
-		c.stats.Wire.Add(headerSize + len(out))
+		c.stats.Wire.AddN(2, 2*headerSize+len(req)+len(out))
 	}
 	return out, nil
 }
@@ -625,17 +669,17 @@ func (s *Server) Drain(cause error) {
 	s.r.poisonWith(cause)
 }
 
+// serve is the one name-table consumer on the server side. Each
+// request's slots are recycled after its reply frame is produced, so
+// a request and a reply may each hold half the ring, and before the
+// reply doorbell rings, so the woken client finds them free.
 func (s *Server) serve(ctx context.Context, sess *runtime.SessionServer) error {
 	r := s.r
 	for {
 		ref, ok, err := r.reqBell.waitCtx(ctx, stateReq)
-		if err != nil {
+		if err != nil || !ok {
 			r.repBell.close()
 			return err
-		}
-		if !ok {
-			r.repBell.close()
-			return nil
 		}
 		r.reqBell.reset()
 		op, body, _, bufs, err := r.readMessage(r.server, ref, s.scratch)
@@ -647,84 +691,71 @@ func (s *Server) serve(ctx context.Context, sess *runtime.SessionServer) error {
 		if len(body) > cap(s.scratch) && len(bufs) > 1 {
 			s.scratch = body[:0] // keep the grown gather buffer
 		}
-		s.bufs = bufs
+		var rep *fbuf.Buffer
 		if sess != nil {
-			err = s.replyBytes(ctx, op, sess.Handle(ctx, int(op), body))
+			rep, err = s.writeReply(ctx, op, sess.Handle(ctx, int(op), body))
 		} else {
-			err = s.replyServe(ctx, op, body)
+			rep, err = s.replyServe(ctx, op, body)
 		}
-		r.freeAll(r.server, s.bufs)
-		s.bufs = nil
+		r.freeAll(r.server, bufs)
 		if err != nil {
 			r.repBell.close()
 			return fmt.Errorf("shmring: reply: %w", err)
 		}
+		r.repBell.ring(stateRep, uint64(rep.ID()))
 	}
 }
 
-// replyServe dispatches body and publishes the reply, encoding it
-// directly into a leased slot's arena; replies that outgrow the slot
-// spill into a spliced multi-slot frame.
-func (s *Server) replyServe(ctx context.Context, op uint32, body []byte) error {
+// replyServe dispatches body and produces the reply frame, encoding
+// it directly into a leased slot's arena; a reply that outgrows the
+// slot is framed from the heap storage its encode grew into.
+func (s *Server) replyServe(ctx context.Context, op uint32, body []byte) (*fbuf.Buffer, error) {
 	r := s.r
 	rep, err := r.path.AllocBlockingContext(ctx, r.server)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	arena, err := rep.Arena(r.server)
 	if err != nil {
 		rep.Free(r.server)
-		return err
+		return nil, err
 	}
-	enc, ok := s.plan.AcquireArenaEncoder(arena[headerSize:])
-	if !ok {
-		// Codec cannot target an arena: stage in a heap encoder and
-		// copy into slots.
-		rep.Free(r.server)
-		henc := s.plan.Codec.NewEncoder()
-		s.disp.ServeMessageContext(ctx, s.plan, int(op), body, henc)
-		return s.publish(ctx, op, henc.Bytes(), nil)
-	}
+	enc, _ := s.plan.AcquireArenaEncoder(arena[headerSize:])
+	defer s.plan.ReleaseArenaEncoder(enc)
 	s.disp.ServeMessageContext(ctx, s.plan, int(op), body, enc)
-	encoded := enc.Bytes()
-	if n, err := runtime.ArenaLen(arena[headerSize:], encoded); err == nil {
-		// The reply was produced in place: frame it and hand the slot
-		// over without touching the bytes again.
-		putHeader(arena, op, uint32(n), 0)
-		err = rep.SetProduced(r.server, headerSize+n)
-		if err == nil {
-			err = rep.Transfer(r.server, r.client, false)
-		}
-		s.plan.ReleaseArenaEncoder(enc)
-		if err != nil {
-			rep.Free(r.server)
-			return err
-		}
-		r.repBell.ring(stateRep, uint64(rep.ID()))
-		return nil
-	}
-	// Spill: the encode outgrew the slot and landed in heap storage;
-	// the bytes are still valid, so no re-dispatch is needed.
-	rep.Free(r.server)
-	err = s.publish(ctx, op, encoded, enc)
-	return err
-}
-
-// replyBytes publishes an already-built reply frame (session path).
-func (s *Server) replyBytes(ctx context.Context, op uint32, frame []byte) error {
-	return s.publish(ctx, op, frame, nil)
-}
-
-// publish writes body as a frame to the client and rings the reply
-// doorbell. enc, when non-nil, is released after body is consumed.
-func (s *Server) publish(ctx context.Context, op uint32, body []byte, enc runtime.ArenaEncoder) error {
-	head, _, err := s.r.writeMessage(ctx, s.r.server, s.r.client, op, body)
-	if enc != nil {
-		s.plan.ReleaseArenaEncoder(enc)
-	}
+	n, err := runtime.ArenaLen(arena[headerSize:], enc.Bytes())
 	if err != nil {
-		return err
+		// Spill: the bytes are valid in heap storage, so no
+		// re-dispatch is needed.
+		rep.Free(r.server)
+		return s.writeReply(ctx, op, enc.Bytes())
 	}
-	s.r.repBell.ring(stateRep, uint64(head.ID()))
+	// Produced in place: frame the reply and hand the slot over
+	// without touching the bytes again.
+	putHeader(arena, op, uint32(n), 0)
+	if err := handOver(rep, r.server, r.client, headerSize+n); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// writeReply produces body as a reply frame. A reply beyond the
+// ring's budget is answered with a bodiless frame flagged too-large:
+// the client fails that call with ErrTooLarge and the ring stays up.
+func (s *Server) writeReply(ctx context.Context, op uint32, body []byte) (*fbuf.Buffer, error) {
+	var flags uint32
+	if len(body) > s.r.maxBody() {
+		body, flags = nil, flagTooLarge
+	}
+	return s.r.writeMessage(ctx, s.r.server, s.r.client, op, flags, body)
+}
+
+// checkArenaCodec refuses a codec whose encoders cannot target ring
+// slots: servers encode every reply in place, and leased bindings
+// every request too.
+func checkArenaCodec(c runtime.Codec) error {
+	if _, ok := c.NewEncoder().(runtime.ArenaEncoder); !ok {
+		return fmt.Errorf("shmring: codec %s cannot encode into ring slots", c.Name())
+	}
 	return nil
 }

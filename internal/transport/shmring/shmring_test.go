@@ -17,7 +17,8 @@ import (
 // ringIface covers the shapes the ring must carry: a null call,
 // scalar in/result, bulk in, bulk result, an inout/out pair, a
 // port-carrying op (the naming annotation's subject), a failing op
-// for the error channel, and a bulk result with no bulk argument.
+// for the error channel, a bulk result with no bulk argument, and a
+// bulk argument with an independently sized bulk result.
 func ringIface(t testing.TB) *pres.Presentation {
 	t.Helper()
 	f, err := corba.Parse("ring.idl", `
@@ -31,6 +32,7 @@ func ringIface(t testing.TB) *pres.Presentation {
 			void fail(in string msg);
 			void hang();
 			sequence<octet> get();
+			sequence<octet> swap(in sequence<octet> data);
 		};`)
 	if err != nil {
 		t.Fatal(err)
@@ -39,10 +41,10 @@ func ringIface(t testing.TB) *pres.Presentation {
 }
 
 type probe struct {
-	putLen  int
+	putLen  int // argument length put or swap last saw
 	granted runtime.PortName
-	// getReply is the result get returns, boxed once by the test so
-	// the handler itself allocates nothing.
+	// getReply is the result get and swap return, boxed once by the
+	// test so the handler itself allocates nothing.
 	getReply runtime.Value
 }
 
@@ -88,6 +90,11 @@ func newDispatcher(t testing.TB, p *pres.Presentation, pr *probe) *runtime.Dispa
 		c.SetResult(pr.getReply)
 		return nil
 	})
+	disp.Handle("swap", func(c *runtime.Call) error {
+		pr.putLen = len(c.ArgBytes(0))
+		c.SetResult(pr.getReply)
+		return nil
+	})
 	disp.Handle("hang", func(c *runtime.Call) error {
 		select {
 		case <-c.Context().Done():
@@ -109,6 +116,15 @@ func ringPlan(t testing.TB, p *pres.Presentation) *runtime.Plan {
 }
 
 // --- generic Conn/Server (runtime.Conn over already-marshaled bodies) ---
+
+func newPair(t testing.TB, disp *runtime.Dispatcher, plan *runtime.Plan) (*Conn, *Server) {
+	t.Helper()
+	conn, srv, err := NewWithConfig(disp, plan, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, srv
+}
 
 func newClientConn(t testing.TB, cfg Config) (*runtime.Client, *probe) {
 	t.Helper()
@@ -183,13 +199,26 @@ func TestConnMultiSlotSplice(t *testing.T) {
 	driveCalls(t, client, pr, payload)
 }
 
-// TestConnTooLarge: a message that cannot fit half the ring is
-// refused outright instead of deadlocking the pool.
+// TestConnTooLarge: a message that cannot fit half the ring fails
+// with ErrTooLarge instead of deadlocking the pool — a request before
+// it is published, a reply as a bodiless too-large frame after the
+// handler ran — and the ring stays up.
 func TestConnTooLarge(t *testing.T) {
-	client, _ := newClientConn(t, Config{SlotSize: 64, Slots: 4})
-	_, _, err := client.Invoke("put", []runtime.Value{make([]byte, 4096)}, nil, nil)
-	if err == nil {
-		t.Fatal("oversized message accepted")
+	client, pr := newClientConn(t, Config{SlotSize: 64, Slots: 4})
+	pr.getReply = make([]byte, 4096)
+	for _, in := range []struct {
+		op   string
+		args []runtime.Value
+	}{
+		{"put", []runtime.Value{make([]byte, 4096)}},
+		{"get", nil},
+	} {
+		if _, _, err := client.Invoke(in.op, in.args, nil, nil); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("%s beyond the budget = %v, want ErrTooLarge", in.op, err)
+		}
+		if _, _, err := client.Invoke("nop", nil, nil, nil); err != nil {
+			t.Fatalf("nop after the oversized %s: %v", in.op, err)
+		}
 	}
 }
 
@@ -199,7 +228,7 @@ func TestConnSession(t *testing.T) {
 	pr := &probe{}
 	disp := newDispatcher(t, p, pr)
 	plan := ringPlan(t, p)
-	conn, srv := New(disp, plan)
+	conn, srv := newPair(t, disp, plan)
 	sess := runtime.NewSessionServer(disp, plan, runtime.NewReplyCache(runtime.DefaultReplyCacheSize))
 	go func() { _ = srv.ServeSession(context.Background(), sess) }()
 	robust := runtime.NewRobustConn(conn, p, runtime.RobustOptions{
@@ -227,7 +256,7 @@ func TestDrainUnparksBlockedCaller(t *testing.T) {
 	pr := &probe{}
 	disp := newDispatcher(t, p, pr)
 	plan := ringPlan(t, p)
-	conn, srv := New(disp, plan)
+	conn, srv := newPair(t, disp, plan)
 	// No serve loop: the reply doorbell never rings, so the caller
 	// parks exactly as it would behind a stalled server.
 	fc := clock.NewFakeClock()
@@ -268,7 +297,7 @@ func TestPoisonCarriesCause(t *testing.T) {
 	p := ringIface(t)
 	pr := &probe{}
 	disp := newDispatcher(t, p, pr)
-	conn, _ := New(disp, ringPlan(t, p))
+	conn, _ := newPair(t, disp, ringPlan(t, p))
 	cause := errors.New("taxonomy: injected crash")
 	conn.Poison(cause)
 	_, err := conn.Call(0, []byte{}, nil)
@@ -401,23 +430,40 @@ var budgetConfig = Config{SlotSize: 128, Slots: 16}
 // doorbell-unique still splices them across the pool.
 func TestBoundBetweenSlotAndBudget(t *testing.T) {
 	payload := bytes.Repeat([]byte{7, 1, 9, 3}, 128) // 512 B
+	type input struct {
+		name     string
+		m        mode
+		req, rep []byte // swap's argument and result
+	}
+	var inputs []input
 	for _, m := range modes() {
-		t.Run(m.name, func(t *testing.T) {
-			b, pr := connectMode(t, m, budgetConfig)
+		inputs = append(inputs, input{m.name, m, payload, payload})
+	}
+	// A request and a reply body each exactly at the budget, 8 of the
+	// 16 slots apiece: a 4-B length word before 892 B, and the status
+	// and length words before 888 B. The serve loop holds the
+	// request's slots until the reply frame is produced, so the two
+	// take the whole pool between them.
+	unique := modes()[3]
+	inputs = append(inputs, input{unique.name + "-at-budget", unique, make([]byte, 892), make([]byte, 888)})
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			b, pr := connectMode(t, in.m, budgetConfig)
 			if got, want := b.ring.maxBody(), 896; got != want {
 				t.Fatalf("budget = %d B, want %d", got, want)
 			}
 			driveCalls(t, b, pr, payload)
-			pr.getReply = payload
-			_, ret, err := b.Invoke("get", nil, nil, nil)
+			pr.getReply = in.rep
+			_, ret, err := b.Invoke("swap", []runtime.Value{in.req}, nil, nil)
 			if err != nil {
-				t.Fatalf("get: %v", err)
+				t.Fatalf("swap: %v", err)
 			}
-			if !bytes.Equal(ret.([]byte), payload) {
-				t.Fatalf("get returned %d bytes, want %d", len(ret.([]byte)), len(payload))
+			if pr.putLen != len(in.req) || !bytes.Equal(ret.([]byte), in.rep) {
+				t.Fatalf("swap carried %d bytes and returned %d, want %d and %d",
+					pr.putLen, len(ret.([]byte)), len(in.req), len(in.rep))
 			}
 			spliced := b.ring.path.Materialized() > 0
-			if leased := m.trusted || m.nonUnique; spliced == leased {
+			if leased := in.m.trusted || in.m.nonUnique; spliced == leased {
 				t.Fatalf("leased %v, but ring pool materialized %d buffers", leased, b.ring.path.Materialized())
 			}
 			if free := b.ring.path.FreeCount(); free != budgetConfig.Slots {
@@ -428,16 +474,13 @@ func TestBoundBetweenSlotAndBudget(t *testing.T) {
 }
 
 // TestBoundBeyondBudget: a message larger than the per-message budget
-// fails with ErrTooLarge in the leased doorbell modes, in either
-// direction, and the binding stays usable. Inline dispatch still
+// fails with ErrTooLarge in every doorbell mode, in either direction,
+// and the binding stays usable. Inline dispatch still
 // round-trips it: the caller's goroutine carries the heap bytes of
 // the encode that outgrew the arena.
 func TestBoundBeyondBudget(t *testing.T) {
 	big := bytes.Repeat([]byte{5, 4, 3, 2}, 256) // 1 KiB
 	for _, m := range modes() {
-		if !m.trusted && !m.nonUnique {
-			continue
-		}
 		t.Run(m.name, func(t *testing.T) {
 			b, pr := connectMode(t, m, budgetConfig)
 			pr.getReply = big
